@@ -40,4 +40,6 @@ def test_bench_command_stream_execution(benchmark):
     mms = benchmark.pedantic(run_stream, iterations=1, rounds=3)
     assert mms.commands_executed == 400
     # mixed enqueue/dequeue stream: the 10.5-cycle average
-    assert mms.breakdown.execution.mean == pytest.approx(10.5, abs=0.01)
+    records = mms.latency_records(mms.now)
+    mean_exec = sum(r[2] for r in records) / len(records)
+    assert mean_exec == pytest.approx(10.5, abs=0.01)

@@ -237,10 +237,10 @@ def _assert_probes_structurally_absent() -> None:
     """The real structural-absence check (timings cannot see it).
 
     With no probe, the telemetry layer must leave zero call sites on
-    the hot paths: the kernel DQM must not have the probed
-    dispatch/finalize variants installed as instance attributes, and
-    the stream machine must carry no probe.  With a probe, both swaps
-    must be in place.  A per-command ``if probe is not None`` creeping
+    the hot paths: the kernel DQM must not have the probed dispatch
+    installed as an instance attribute (nor any finalize override), and
+    the stream machine must carry no probe.  With a probe, the dispatch
+    swap must be in place.  A per-command ``if probe is not None`` creeping
     back into the execute path would pass any same-code timing
     comparison -- this assertion is what fails instead.
     """
@@ -254,10 +254,9 @@ def _assert_probes_structurally_absent() -> None:
         raise SystemExit(
             "bench_telemetry: probes-off DQM carries probed variants")
     probed = MMS(cfg, probe=MmsTelemetry())
-    if "_dispatch" not in probed.dqm.__dict__ \
-            or "_finalize" not in probed.dqm.__dict__:
+    if "_dispatch" not in probed.dqm.__dict__:
         raise SystemExit(
-            "bench_telemetry: probed DQM did not swap in its variants")
+            "bench_telemetry: probed DQM did not swap in its dispatch")
     if StreamMms(cfg).probe is not None:
         raise SystemExit("bench_telemetry: probes-off StreamMms has a probe")
 
@@ -322,12 +321,14 @@ def bench_telemetry(quick: bool, repeats: int, table5: dict) -> dict:
 def _assert_stage_hooks_structurally_absent() -> None:
     """The tracer's structural-absence check.
 
-    The DQM has three dispatch/finalize variant pairs -- plain, probed,
-    traced -- and picks once at construction time: a telemetry-only
-    probe must get the *probed* pair (no stage bookkeeping), a probe
-    with ``wants_stages`` must get the *traced* pair.  A per-command
-    ``if wants_stages`` creeping into the probed path would pass any
-    timing comparison -- this assertion is what fails instead.
+    The DQM has one finalize (it appends the command's record; the
+    ``on_record``/``on_stages`` channels are replayed from those
+    records after the run) and one probed dispatch, picked once at
+    construction time.  A telemetry probe and a span tracer must both
+    get exactly that dispatch and no finalize override: a per-command
+    ``if wants_stages`` or a stage hook creeping into the execute path
+    would pass any timing comparison -- this assertion is what fails
+    instead.
     """
     from repro.core.dqm import DataQueueManager
     from repro.core.mms import MMS, MmsConfig
@@ -335,18 +336,14 @@ def _assert_stage_hooks_structurally_absent() -> None:
     from repro.trace import TraceCollector, TraceSpec
 
     cfg = MmsConfig(num_flows=16, num_segments=64, num_descriptors=64)
-    probed = MMS(cfg, probe=MmsTelemetry())
-    if probed.dqm._dispatch.__func__ \
-            is not DataQueueManager._dispatch_probed:
-        raise SystemExit(
-            "bench_trace: telemetry-only DQM took the traced dispatch path")
-    traced = MMS(cfg, probe=TraceCollector(TraceSpec()))
-    if traced.dqm._dispatch.__func__ \
-            is not DataQueueManager._dispatch_traced or \
-            traced.dqm._finalize.__func__ \
-            is not DataQueueManager._finalize_traced:
-        raise SystemExit(
-            "bench_trace: tracing DQM did not swap in its traced variants")
+    for probe in (MmsTelemetry(), TraceCollector(TraceSpec())):
+        dqm = MMS(cfg, probe=probe).dqm
+        if dqm._dispatch.__func__ \
+                is not DataQueueManager._dispatch_probed \
+                or "_finalize" in dqm.__dict__:
+            raise SystemExit(
+                f"bench_trace: {type(probe).__name__} DQM left the "
+                f"probed dispatch / plain finalize path")
 
 
 def bench_trace(quick: bool, repeats: int, table5: dict) -> dict:

@@ -17,7 +17,7 @@ def main() -> None:
     runner = Runner()
 
     # --- Table 1 on the fast budget (the CLI equivalent:
-    # `repro-experiments run table1 --fast`)
+    # `repro-analysis run table1 --fast`)
     print(render(runner.run("table1", fast=True)))
 
     # --- the paper's fixed knobs, as registered ablation scenarios

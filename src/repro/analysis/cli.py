@@ -1,29 +1,29 @@
-"""Command-line entry point: ``repro-experiments`` / ``python -m repro.analysis``.
+"""Command-line entry point: ``repro-analysis`` / ``python -m repro.analysis``.
 
 The CLI is a thin front-end over the scenario registry
 (:mod:`repro.scenarios`)::
 
-    repro-experiments list                         # every scenario
-    repro-experiments list --kind sweep            # one category
-    repro-experiments list --kind overload --json -  # machine-readable
-    repro-experiments run table1 --engine reference --seed 7
-    repro-experiments run all --fast --json out.json
-    repro-experiments sweep all --fast             # just the sweeps
-    repro-experiments sweep all --jobs 4 --timeout 300 --retries 2
-    repro-experiments run all --journal .journal   # crash-safe resume
-    repro-experiments checkpoint-run latency-lqd-burst \\
+    repro-analysis list                         # every scenario
+    repro-analysis list --kind sweep            # one category
+    repro-analysis list --kind overload --json -  # machine-readable
+    repro-analysis run table1 --engine reference --seed 7
+    repro-analysis run all --fast --json out.json
+    repro-analysis sweep all --fast             # just the sweeps
+    repro-analysis sweep all --jobs 4 --timeout 300 --retries 2
+    repro-analysis run all --journal .journal   # crash-safe resume
+    repro-analysis checkpoint-run latency-lqd-burst \\
         --checkpoint-every 2000000000 --checkpoint-dir ckpts
-    repro-experiments checkpoint-run --resume-from ckpts/latency-....json
-    repro-experiments run latency-lqd-burst --trace --json run.json
-    repro-experiments run table5 --resources --json run.json  # rusage profile
-    repro-experiments trace-export run.json trace.json   # -> ui.perfetto.dev
-    repro-experiments trace-diff a.json b.json           # first divergence
-    repro-experiments report run.json                    # human summary
-    repro-experiments watch .journal                     # live sweep progress
-    repro-experiments watch --once .journal              # one render, exit
-    repro-experiments sweep-status .journal              # one-shot summary
-    repro-experiments sweep-status .journal --prometheus -  # metrics text
-    repro-experiments report .journal                    # sweep timeline
+    repro-analysis checkpoint-run --resume-from ckpts/latency-....json
+    repro-analysis run latency-lqd-burst --trace --json run.json
+    repro-analysis run table5 --resources --json run.json  # rusage profile
+    repro-analysis trace-export run.json trace.json   # -> ui.perfetto.dev
+    repro-analysis trace-diff a.json b.json           # first divergence
+    repro-analysis report run.json                    # human summary
+    repro-analysis watch .journal                     # live sweep progress
+    repro-analysis watch --once .journal              # one render, exit
+    repro-analysis sweep-status .journal              # one-shot summary
+    repro-analysis sweep-status .journal --prometheus -  # metrics text
+    repro-analysis report .journal                    # sweep timeline
 
 ``run``/``sweep`` accept ``--engine fast|reference`` and ``--seed N``;
 each scenario honors the knobs it declares (closed-form scenarios have
@@ -51,9 +51,6 @@ exposition, and ``report DIR`` (or ``report events.jsonl``) renders the
 sweep timeline with per-task wall/CPU and retry provenance.
 ``--resources`` profiles each scenario's rusage delta into
 ``metrics.resources``.
-
-The pre-scenario invocation style (``repro-experiments table1 --fast``)
-still works as an alias for ``run table1 --fast``.
 """
 
 from __future__ import annotations
@@ -150,7 +147,7 @@ def _period_ps_value(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="repro-analysis",
         description=(
             "Regenerate the tables, figures, sweeps and ablations of "
             "'Queue Management in Network Processors' (DATE 2005) from "
@@ -382,23 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="suppress the listening/shutdown banner")
 
     return parser
-
-
-def _legacy_rewrite(argv: List[str]) -> List[str]:
-    """Map the pre-scenario invocation style onto ``run``.
-
-    ``repro-experiments table1 --fast`` (and the option-first ordering
-    argparse used to accept, ``--fast table1``) predate the
-    subcommands; keep both working as aliases for ``run``.
-    """
-    if not argv or argv[0] in ("list", "run", "sweep", "checkpoint-run",
-                               "trace-export", "trace-diff", "report",
-                               "watch", "sweep-status", "serve"):
-        return argv
-    legacy = set(scenario_names()) | {"all"}
-    if any(token in legacy for token in argv):
-        return ["run"] + argv
-    return argv
 
 
 def _write_document(json_path: str, doc: Dict[str, Any]) -> None:
@@ -865,7 +845,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_legacy_rewrite(list(argv)))
+    args = build_parser().parse_args(list(argv))
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "checkpoint-run":

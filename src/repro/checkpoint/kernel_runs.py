@@ -17,14 +17,18 @@ Determinism makes the replay exact: the kernel path takes no
 wall-clock or OS input, every RNG is seeded from the params, and the
 event order is pinned by the ``(time, sequence)`` contract.  The
 telemetry probe and span tracer are deliberately *not* checkpointed on
-this path -- they re-accumulate during the replay and arrive at the
-anchor in the identical state.
+this path: ``on_command`` re-accumulates during the replay, and the
+record channels are replayed from the DQM's records at :meth:`finish`,
+exactly as in an unbroken run.
 
 Only the ``overload`` and ``script`` workload families get kernel
-drivers: the Table 5 load/saturation workloads always route to the
-command-stream engine (``stream_supports`` accepts every published
-configuration), so :class:`~repro.checkpoint.runs.StreamRun` covers
-them with exact snapshots.
+drivers; the load/saturation families checkpoint on the stream path
+(:class:`~repro.checkpoint.runs.StreamRun`, exact snapshots).  The
+kernel driver attaches the overload feeders with the harness's own
+:func:`~repro.engines.harnesses.attach_overload` and finishes through
+the same :func:`~repro.checkpoint.runs.finish_result` as
+:class:`StreamRun`, so its result is assembled by the one overload
+assembly the plain harness uses.
 """
 
 from __future__ import annotations
@@ -36,20 +40,21 @@ from typing import TYPE_CHECKING, Any, Dict, Union
 if TYPE_CHECKING:
     from repro.checkpoint.runs import StreamRun
 
-from repro.checkpoint.runs import _build_probes, _decode_op, _script_feeder
+from repro.checkpoint.runs import (
+    _build_probes,
+    _decode_op,
+    _script_feeder,
+    finish_result,
+    workload_horizon,
+)
 from repro.checkpoint.snapshot import (
     Checkpoint,
     CheckpointError,
     config_from_dict,
 )
 from repro.core.mms import MMS
-from repro.core.workloads import (
-    drive_port,
-    overload_drain_ops,
-    overload_feed_ops,
-)
+from repro.core.workloads import overload_drain_ops
 from repro.engines import harnesses
-from repro.policies.harness import OverloadResult
 from repro.sim.kernel import make_simulator
 
 #: Workload families a KernelRun can drive (see module docstring).
@@ -149,43 +154,23 @@ class KernelRun:
         self.mms = MMS(self.config, sim=make_simulator(label),
                        probe=self.probe)
         self.sim = self.mms.sim
-        mms, sim = self.mms, self.sim
+        mms = self.mms
 
         if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                mms.clock)
-            per_port = p["num_arrivals"] // 3
             self.store["dequeued"] = 0
-            for port in range(3):
-                sim.spawn(drive_port(mms, port,
-                                     overload_feed_ops(
-                                         p["shape"], port, per_port,
-                                         p["active_flows"], enq_period,
-                                         self.store)),
-                          name=f"enq{port}")
-            sim.spawn(drive_port(mms, 3,
-                                 overload_drain_ops(
-                                     mms.pqm.queued_packets,
-                                     p["active_flows"], drain_period,
-                                     self.store)),
-                      name="drain")
+            harnesses.attach_overload(mms, p["shape"], p["num_arrivals"],
+                                      p["active_flows"], self.store)
         else:  # script
             if p["drain"]:
                 self.store["dequeued"] = 0
             for port, encoded in enumerate(p["scripts"]):
                 ops = [_decode_op(op) for op in encoded]
-                sim.spawn(drive_port(mms, port,
-                                     _script_feeder(ops, self.store,
-                                                    p["mark_done"])),
-                          name=f"port{port}")
+                mms.add_feeder(port, _script_feeder(ops, self.store,
+                                                    p["mark_done"]))
             if p["drain"]:
-                sim.spawn(drive_port(mms, len(p["scripts"]),
-                                     overload_drain_ops(
-                                         mms.pqm.queued_packets,
-                                         p["drain_active_flows"],
-                                         p["drain_period_ps"],
-                                         self.store)),
-                          name="drain")
+                mms.add_feeder(len(p["scripts"]), overload_drain_ops(
+                    mms.pqm.queued_packets, p["drain_active_flows"],
+                    p["drain_period_ps"], self.store))
 
     # ----------------------------------------------------------- running
 
@@ -196,14 +181,7 @@ class KernelRun:
     @property
     def horizon(self) -> int:
         """The workload's run horizon (the harness formula)."""
-        p = self.params
-        if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                self.mms.clock)
-            return harnesses.overload_horizon_ps(
-                p["num_arrivals"], enq_period, self.config.num_segments,
-                drain_period)
-        return p["horizon_ps"]
+        return workload_horizon(self.workload, self.params, self.mms)
 
     def run(self, until_ps: int) -> None:
         """Advance the kernel to ``until_ps`` (a rest point: safe to
@@ -232,31 +210,10 @@ class KernelRun:
     def finish(self) -> Any:
         """Run to the horizon and assemble the workload's result with
         the exact harness arithmetic."""
-        p = self.params
-        self.sim.run(until_ps=self.horizon)
-        if self.workload == "overload":
-            stats = self.mms.policy.stats
-            return OverloadResult(
-                policy=self.config.policy.name,
-                shape=p["shape"],
-                offered_segments=stats.offered_segments,
-                offered_bytes=stats.offered_bytes,
-                accepted_segments=stats.accepted_segments,
-                accepted_bytes=stats.accepted_bytes,
-                dropped_segments=stats.dropped_segments,
-                dropped_bytes=stats.dropped_bytes,
-                pushed_out_segments=stats.pushed_out_segments,
-                pushed_out_bytes=stats.pushed_out_bytes,
-                dequeued_segments=self.store["dequeued"],
-                residual_segments=self.mms.policy.total_segments,
-                capacity_segments=self.config.num_segments,
-                elapsed_ps=self.sim.now,
-                engine=p.get("engine_label", "reference"),
-            )
-        return {
-            "elapsed_ps": self.sim.now,
-            "counters": dict(self.store),
-        }
+        horizon = self.horizon
+        self.sim.run(until_ps=horizon)
+        return finish_result(self.workload, self.params, self.mms,
+                             self.store, self.probe, horizon, "reference")
 
 
 def resume_run(ckpt: Checkpoint) -> Union["StreamRun", "KernelRun"]:

@@ -21,13 +21,11 @@ little throughput bookkeeping for robustness:
   as done; a re-run of an interrupted sweep skips everything already
   journaled (a torn write never passes ``read_json``, so a crash
   mid-write re-runs that task);
-* **lifecycle events + heartbeat documents** -- journaled sweeps write
-  every sweep/task transition to a shared ``events.jsonl``
-  (:mod:`repro.monitor.events`) and keep the per-task
-  ``<name>.heartbeat.json`` documents, both through one
-  :class:`~repro.monitor.events.SweepLog` code path, so a stalled or
-  crashed sweep can be diagnosed -- or watched live
-  (``repro-experiments watch``) -- from the journal directory alone;
+* **lifecycle events** -- journaled sweeps write every sweep/task
+  transition to a shared ``events.jsonl`` (:mod:`repro.monitor.events`)
+  through one :class:`~repro.monitor.events.SweepLog` code path, so a
+  stalled or crashed sweep can be diagnosed -- or watched live
+  (``repro-analysis watch``) -- from the journal directory alone;
 * **resource profiles** -- with ``resources=True`` each worker reports
   its rusage delta (CPU seconds, max RSS, wall) alongside its result;
   the pool folds profiles into :attr:`PoolOutcome.resources`, finish
@@ -178,9 +176,6 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
 
     paths = [os.path.join(result_dir, _safe_name(name) + ".json")
              for name, _payload in tasks]
-    hb_paths = [os.path.join(result_dir,
-                             _safe_name(name) + ".heartbeat.json")
-                for name, _payload in tasks]
 
     pending: deque = deque()
     for idx, path in enumerate(paths):
@@ -197,16 +192,14 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
             pending.append(idx)
 
     # Journaled sweeps report their lifecycle through one SweepLog:
-    # typed events on the shared events.jsonl plus the per-task
-    # heartbeat documents, derived from the same records.  Un-journaled
-    # throwaway sweeps have nobody to read either, so the monitoring
-    # machinery stays structurally absent (not even imported).
+    # typed events on the shared events.jsonl.  Un-journaled throwaway
+    # sweeps have nobody to read them, so the monitoring machinery
+    # stays structurally absent (not even imported).
     log: Optional["SweepLog"] = None
     if journal_dir is not None:
         from repro.monitor.events import EventSink, SweepLog, events_path
         log = SweepLog(EventSink(events_path(result_dir)),
-                       [name for name, _payload in tasks],
-                       heartbeat_paths=hb_paths)
+                       [name for name, _payload in tasks])
         log.sweep("start", extra={
             "tasks": len(tasks), "jobs": jobs,
             "names": [name for name, _payload in tasks],
@@ -224,7 +217,7 @@ def run_tasks(fn: Callable[[Any], Dict[str, Any]],
              extra: Optional[Dict[str, Any]] = None) -> None:
         """One task lifecycle transition, through the sweep log
         (journaled sweeps only -- the throwaway tmpdir case has nobody
-        to read events or heartbeats)."""
+        to read events)."""
         if log is not None:
             log.task(idx, action, attempts[idx], extra=extra)
 

@@ -65,9 +65,6 @@ from repro.trace.spans import TraceCollector, TraceSpec
 #: Workload families a StreamRun can drive.
 STREAM_WORKLOADS = ("load", "saturation", "overload", "script")
 
-#: The Table 5 / saturation harnesses feed these four ports.
-_FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
-
 
 # ==================================================== params builders
 
@@ -209,6 +206,56 @@ def _build_probes(params: Dict[str, Any]) -> Tuple[
     return telemetry, tracer, probe
 
 
+def workload_horizon(workload: str, params: Dict[str, Any],
+                     eng: harnesses.Machine) -> int:
+    """A checkpointable workload's run horizon (the harness formulas;
+    ``script`` runs carry theirs in the params)."""
+    p = params
+    if workload == "load":
+        return harnesses.load_horizon_ps(
+            p["num_volleys"],
+            harnesses.load_volley_period_ps(p["offered_gbps"]))
+    if workload == "saturation":
+        return harnesses.SATURATION_HORIZON_PS
+    if workload == "overload":
+        drain_period, enq_period = harnesses.overload_pacing_ps(eng.clock)
+        return harnesses.overload_horizon_ps(
+            p["num_arrivals"], enq_period, eng.config.num_segments,
+            drain_period)
+    horizon: int = p["horizon_ps"]
+    return horizon
+
+
+def finish_result(workload: str, params: Dict[str, Any],
+                  eng: harnesses.Machine, store: Dict[str, int],
+                  probe: Optional[Probe], horizon: int,
+                  engine_label: str) -> Any:
+    """Assemble a finished run's result with the harness assembly
+    functions -- the one finish of both checkpoint drivers (probe
+    records are replayed here, as in the plain harnesses).
+    ``engine_label`` is the overload label for params that predate
+    it."""
+    p = params
+    if workload == "load":
+        return harnesses.assemble_load_result(
+            eng, probe, horizon, eng.config, p["warmup_volleys"],
+            p["offered_gbps"])
+    if workload == "saturation":
+        return harnesses.assemble_saturation_result(eng, probe, horizon,
+                                                    eng.config)
+    if workload == "overload":
+        return harnesses.assemble_overload_result(
+            eng, eng.config, p["shape"], store, horizon, probe=probe,
+            engine_label=p.get("engine_label", engine_label))
+    if probe is not None:
+        harnesses.replay_records(eng, probe, horizon)
+    return {
+        "commands_executed": eng.commands_executed,
+        "elapsed_ps": eng.now,
+        "counters": dict(store),
+    }
+
+
 # ======================================================== the driver
 
 class StreamRun:
@@ -309,7 +356,7 @@ class StreamRun:
             def now() -> int:
                 return eng.now
 
-            for port, (enqueue, phase) in enumerate(_FOUR_PORTS):
+            for port, (enqueue, phase) in enumerate(harnesses.FOUR_PORTS):
                 def factory(tape: Tape, port: int = port,
                             enqueue: bool = enqueue,
                             phase: int = phase) -> Iterator[Any]:
@@ -321,7 +368,7 @@ class StreamRun:
 
         elif self.workload == "saturation":
             per_port = p["num_commands"] // 4
-            for port, (enqueue, phase) in enumerate(_FOUR_PORTS):
+            for port, (enqueue, phase) in enumerate(harnesses.FOUR_PORTS):
                 def factory(tape: Tape, enqueue: bool = enqueue,
                             phase: int = phase) -> Iterator[Any]:
                     # pure feeder: the tape stays empty, which is itself
@@ -377,20 +424,7 @@ class StreamRun:
     def horizon(self) -> int:
         """The workload's run horizon (the same formula the plain
         harness uses)."""
-        p = self.params
-        if self.workload == "load":
-            return harnesses.load_horizon_ps(
-                p["num_volleys"],
-                harnesses.load_volley_period_ps(p["offered_gbps"]))
-        if self.workload == "saturation":
-            return harnesses.SATURATION_HORIZON_PS
-        if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                self.eng.clock)
-            return harnesses.overload_horizon_ps(
-                p["num_arrivals"], enq_period, self.config.num_segments,
-                drain_period)
-        return p["horizon_ps"]
+        return workload_horizon(self.workload, self.params, self.eng)
 
     def run(self, until_ps: int) -> None:
         """Advance the machine to ``until_ps`` (a rest point: safe to
@@ -417,26 +451,10 @@ class StreamRun:
     def finish(self) -> Any:
         """Run to the horizon and assemble the workload's result with
         the exact harness arithmetic."""
-        p = self.params
         horizon = self.horizon
         self.eng.run(horizon)
-        if self.workload == "load":
-            return harnesses.assemble_load_result(
-                self.eng, self.probe, horizon, self.config,
-                p["warmup_volleys"], p["offered_gbps"])
-        if self.workload == "saturation":
-            return harnesses.assemble_saturation_result(
-                self.eng, self.probe, horizon, self.config)
-        if self.workload == "overload":
-            return harnesses.assemble_overload_result(
-                self.eng, self.config, p["shape"], self.store, horizon,
-                probe=self.probe,
-                engine_label=p.get("engine_label", "fast"))
-        return {
-            "commands_executed": self.eng.commands_executed,
-            "elapsed_ps": self.eng.now,
-            "counters": dict(self.store),
-        }
+        return finish_result(self.workload, self.params, self.eng,
+                             self.store, self.probe, horizon, "fast")
 
 
 def run_with_checkpoints(run: StreamRun, every_ps: int,

@@ -16,14 +16,13 @@ can be done, almost, in parallel with the pointer handling".
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.commands import Command, CommandType
 from repro.core.dmc import DataMemoryController
-from repro.core.latency import LatencyBreakdown
 from repro.core.microcode import SCHEDULE_COSTS
 from repro.policies.base import DroppedSegment
-from repro.queueing import PacketQueueManager
+from repro.queueing import AccessRecord, PacketQueueManager
 from repro.sim import Clock, Simulator
 
 #: Per-command timing tuple used on the execute hot path:
@@ -61,12 +60,65 @@ class MicrocodeMismatchError(AssertionError):
     """Strict mode: a functional trace disagreed with the schedule."""
 
 
+def dispatch_command(pqm: PacketQueueManager, op: CommandType, flow: int,
+                     dst_flow: Optional[int], eop: bool, length: int,
+                     pid: int = -1, index: int = 0
+                     ) -> Tuple[Any, List[AccessRecord], Optional[int]]:
+    """Run one command's functional operation on ``pqm``.
+
+    The one mapping from command type to :class:`PacketQueueManager`
+    operation and DMC slot, shared by the kernel DQM and the
+    command-stream machine.  Returns ``(result, trace, data_slot)``:
+    ``data_slot`` is the segment buffer the DMC transfers, or None for
+    pointer-only commands and policy drops (a dropped enqueue still
+    executes and is timed, but writes no buffer).
+    """
+    if op is CommandType.ENQUEUE:
+        slot, trace = pqm.admit_enqueue(flow, eop=eop, length=length,
+                                        pid=pid, index=index)
+        return slot, trace, (None if isinstance(slot, DroppedSegment)
+                             else slot)
+    if op is CommandType.DEQUEUE:
+        info, trace = pqm.dequeue_segment(flow)
+        return info, trace, info.slot
+    if op is CommandType.READ:
+        info, trace = pqm.read_segment(flow)
+        return info, trace, info.slot
+    if op is CommandType.OVERWRITE:
+        info, trace = pqm.overwrite_segment(flow)
+        return info, trace, info.slot
+    if op is CommandType.DELETE:
+        info, trace = pqm.delete_segment(flow)
+        return info, trace, None
+    if op is CommandType.DELETE_PACKET:
+        return None, pqm.delete_packet(flow), None
+    if op is CommandType.MOVE:
+        return None, pqm.move_packet(flow, dst_flow), None
+    if op is CommandType.OVERWRITE_LENGTH:
+        info, trace = pqm.overwrite_segment_length(flow, length)
+        return info, trace, None
+    if op is CommandType.OVERWRITE_LENGTH_MOVE:
+        return None, pqm.overwrite_length_and_move(flow, dst_flow,
+                                                   length), None
+    if op is CommandType.OVERWRITE_MOVE:
+        info, trace = pqm.overwrite_and_move(flow, dst_flow)
+        return info, trace, info.slot
+    if op is CommandType.APPEND_HEAD:
+        slot, trace = pqm.append_head(flow, pid=pid)
+        return slot, trace, (None if isinstance(slot, DroppedSegment)
+                             else slot)
+    if op is CommandType.APPEND_TAIL:
+        slot, trace = pqm.append_tail(flow, length=length, pid=pid)
+        return slot, trace, (None if isinstance(slot, DroppedSegment)
+                             else slot)
+    raise ValueError(f"unknown command type {op}")
+
+
 class DataQueueManager:
     """Executes MMS commands over the two-level queue structure."""
 
     def __init__(self, sim: Simulator, clock: Clock,
                  pqm: PacketQueueManager, dmc: Optional[DataMemoryController],
-                 breakdown: LatencyBreakdown,
                  strict_microcode: bool = False,
                  overlap_data: bool = True,
                  probe: Optional[Any] = None) -> None:
@@ -74,30 +126,32 @@ class DataQueueManager:
         self.clock = clock
         self.pqm = pqm
         self.dmc = dmc
-        self.breakdown = breakdown
         self.strict_microcode = strict_microcode
         #: Ablation A5: when False, the data access is issued only after
         #: the pointer work completes (what the MMS design avoids --
         #: Section 6.1 credits the overlap for the 10.5-cycle overhead).
         self.overlap_data = overlap_data
         self.commands_executed = 0
+        #: One record per retired command, in delivery order:
+        #: ``(time_ps, seq, op, flow, submit_ps, start_ps, end_ps,
+        #: data_submit_ps, data_done_ps, data_cycles)`` -- the data
+        #: fields are -1 / 0.0 for commands that never reached the DMC.
+        #: :class:`~repro.core.mms.MMS` derives its latency and stage
+        #: records from it.
+        self.records: List[tuple] = []
         # Memoized per-command timing for this clock domain; both overlap
         # variants are kept so flipping the ablation flag stays valid.
         self._timing_overlap = _timing_table(clock.period_ps, True)
         self._timing_serial = _timing_table(clock.period_ps, False)
         #: Optional telemetry probe (:mod:`repro.telemetry`).  The
-        #: probed dispatch/finalize variants are swapped in as instance
-        #: attributes *only* when a probe exists, so the probes-off hot
-        #: path carries no telemetry call sites at all (structural
-        #: absence, not an inert per-command branch).
+        #: probed dispatch is swapped in as an instance attribute *only*
+        #: when a probe exists, so the probes-off hot path carries no
+        #: telemetry call sites at all (structural absence, not an inert
+        #: per-command branch).  ``on_record``/``on_stages`` are
+        #: replayed from :attr:`records` after the run.
         self.probe = probe
         if probe is not None:
-            if getattr(probe, "wants_stages", False):
-                self._dispatch = self._dispatch_traced  # type: ignore[assignment]
-                self._finalize = self._finalize_traced  # type: ignore[assignment]
-            else:
-                self._dispatch = self._dispatch_probed  # type: ignore[assignment]
-                self._finalize = self._finalize_probed  # type: ignore[assignment]
+            self._dispatch = self._dispatch_probed  # type: ignore[assignment]
 
     # ----------------------------------------------------------- execute
 
@@ -114,6 +168,9 @@ class DataQueueManager:
         handoff_ps, tail_ps, latency_cycles, exec_cycles_f, ptr_accesses = \
             timing[cmd.type]
         cmd.start_exec_ps = self.sim.now
+        # the DQM is serial: the executed count at the pop instant is the
+        # dispatch index both engines share
+        cmd.trace_seq = self.commands_executed
         result, trace_len, data_slot = self._dispatch(cmd)
         # A policy-dropped enqueue generates no pointer traffic at all
         # (the schedule assumes an accepted segment), so the strict
@@ -141,118 +198,36 @@ class DataQueueManager:
         self.commands_executed += 1
         if cmd.completion is not None:
             cmd.completion.trigger(result)
-        self.sim.spawn(self._finalize(cmd, exec_cycles_f, data_event),
+        self.sim.spawn(self._finalize(cmd, data_event),
                        name=f"fin{cmd.cid}")
 
-    def _finalize(self, cmd: Command, exec_cycles_f: float, data_event):
-        period = self.clock.period_ps
-        data_cycles = 0.0
-        data_submit_ps = -1
+    def _finalize(self, cmd: Command, data_event):
+        """Wait for the data transfer, then append the command's record
+        at the delivery instant."""
         if data_event is not None:
             req = yield data_event
-            cmd.data_done_ps = self.sim.now
-            data_cycles = (req.total_ps) / period
+            cmd.data_done_ps = data_done_ps = self.sim.now
             data_submit_ps = req.submit_ps
+            data_cycles = req.total_ps / self.clock.period_ps
         else:
             cmd.data_done_ps = cmd.end_exec_ps
+            data_submit_ps = data_done_ps = -1
+            data_cycles = 0.0
             yield 0
-        fifo_cycles = (cmd.start_exec_ps - cmd.submit_ps) / period \
-            if cmd.submit_ps >= 0 else 0.0
-        submit = cmd.submit_ps if cmd.submit_ps >= 0 else cmd.start_exec_ps
-        completion = max(cmd.end_exec_ps, cmd.data_done_ps)
-        end_to_end_cycles = (completion - submit) / period
-        self.breakdown.record_parts(
-            fifo_cycles=fifo_cycles,
-            execution_cycles=exec_cycles_f,
-            data_cycles=data_cycles,
-            end_to_end_cycles=end_to_end_cycles,
-        )
-        return fifo_cycles, data_cycles, end_to_end_cycles, data_submit_ps
-
-    def _finalize_probed(self, cmd: Command, exec_cycles_f: float,
-                         data_event):
-        """Telemetry variant of :meth:`_finalize`: the same record (by
-        delegation), then the probe's ``on_record`` at the delivery
-        instant."""
-        fifo_cycles, data_cycles, end_to_end_cycles, _ = \
-            yield from DataQueueManager._finalize(self, cmd, exec_cycles_f,
-                                                  data_event)
-        self.probe.on_record(self.sim.now, cmd.type, fifo_cycles,
-                             exec_cycles_f, data_cycles, end_to_end_cycles)
-
-    def _finalize_traced(self, cmd: Command, exec_cycles_f: float,
-                         data_event):
-        """Tracing variant of :meth:`_finalize`: the telemetry record,
-        then the stage bounds, both at the record-delivery instant (the
-        stream engine replays the identical calls in the identical
-        order)."""
-        fifo_cycles, data_cycles, end_to_end_cycles, data_submit_ps = \
-            yield from DataQueueManager._finalize(self, cmd, exec_cycles_f,
-                                                  data_event)
-        probe = self.probe
-        probe.on_record(self.sim.now, cmd.type, fifo_cycles,
-                        exec_cycles_f, data_cycles, end_to_end_cycles)
-        data_done_ps = cmd.data_done_ps if data_submit_ps >= 0 else -1
-        probe.on_stages(self.sim.now, cmd.trace_seq, cmd.type, cmd.flow,
-                        cmd.submit_ps, cmd.start_exec_ps, cmd.end_exec_ps,
-                        data_submit_ps, data_done_ps)
+        self.records.append((self.sim.now, cmd.trace_seq, cmd.type,
+                             cmd.flow, cmd.submit_ps, cmd.start_exec_ps,
+                             cmd.end_exec_ps, data_submit_ps, data_done_ps,
+                             data_cycles))
 
     # ---------------------------------------------------------- dispatch
 
     def _dispatch(self, cmd: Command):
         """Run the functional operation; returns (result, ptr-accesses,
         data slot for the DMC)."""
-        t = cmd.type
-        pqm = self.pqm
-        if t is CommandType.ENQUEUE:
-            slot, trace = pqm.admit_enqueue(cmd.flow, eop=cmd.eop,
-                                            length=cmd.length, pid=cmd.pid,
-                                            index=cmd.seg_index)
-            if isinstance(slot, DroppedSegment):
-                # policy drop: the command still executes (and is timed),
-                # but no buffer was written -- no DMC transfer
-                return slot, len(trace), None
-            return slot, len(trace), slot
-        if t is CommandType.DEQUEUE:
-            info, trace = pqm.dequeue_segment(cmd.flow)
-            return info, len(trace), info.slot
-        if t is CommandType.READ:
-            info, trace = pqm.read_segment(cmd.flow)
-            return info, len(trace), info.slot
-        if t is CommandType.OVERWRITE:
-            info, trace = pqm.overwrite_segment(cmd.flow)
-            return info, len(trace), info.slot
-        if t is CommandType.DELETE:
-            info, trace = pqm.delete_segment(cmd.flow)
-            return info, len(trace), None
-        if t is CommandType.DELETE_PACKET:
-            trace = pqm.delete_packet(cmd.flow)
-            return None, len(trace), None
-        if t is CommandType.MOVE:
-            trace = pqm.move_packet(cmd.flow, cmd.dst_flow)
-            return None, len(trace), None
-        if t is CommandType.OVERWRITE_LENGTH:
-            info, trace = pqm.overwrite_segment_length(cmd.flow, cmd.length)
-            return info, len(trace), None
-        if t is CommandType.OVERWRITE_LENGTH_MOVE:
-            trace = pqm.overwrite_length_and_move(cmd.flow, cmd.dst_flow,
-                                                  cmd.length)
-            return None, len(trace), None
-        if t is CommandType.OVERWRITE_MOVE:
-            info, trace = pqm.overwrite_and_move(cmd.flow, cmd.dst_flow)
-            return info, len(trace), info.slot
-        if t is CommandType.APPEND_HEAD:
-            slot, trace = pqm.append_head(cmd.flow, pid=cmd.pid)
-            if isinstance(slot, DroppedSegment):
-                return slot, len(trace), None
-            return slot, len(trace), slot
-        if t is CommandType.APPEND_TAIL:
-            slot, trace = pqm.append_tail(cmd.flow, length=cmd.length,
-                                          pid=cmd.pid)
-            if isinstance(slot, DroppedSegment):
-                return slot, len(trace), None
-            return slot, len(trace), slot
-        raise ValueError(f"unknown command type {t}")
+        result, trace, data_slot = dispatch_command(
+            self.pqm, cmd.type, cmd.flow, cmd.dst_flow, cmd.eop,
+            cmd.length, cmd.pid, cmd.seg_index)
+        return result, len(trace), data_slot
 
     def _dispatch_probed(self, cmd: Command):
         """Telemetry variant of :meth:`_dispatch`: the functional
@@ -265,11 +240,3 @@ class DataQueueManager:
                               pqm.queued_segments(cmd.flow),
                               pqm.num_segments - pqm.free_segments)
         return out
-
-    def _dispatch_traced(self, cmd: Command):
-        """Tracing variant of :meth:`_dispatch_probed`: stamps the
-        dispatch index first (the DQM is serial, so
-        ``commands_executed`` at the pop instant *is* the dispatch
-        order both engines share), then delegates."""
-        cmd.trace_seq = self.commands_executed
-        return DataQueueManager._dispatch_probed(self, cmd)

@@ -11,20 +11,19 @@ every command's delay is decomposed into FIFO + execution + data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from repro.core.commands import Command
 from repro.core.dmc import DataMemoryController
-from repro.core.dqm import DataQueueManager
-from repro.core.latency import LatencyBreakdown
+from repro.core.dqm import DataQueueManager, command_timing_table
 from repro.core.reassembly import ReassemblyBlock
 from repro.core.scheduler import DEFAULT_PORTS, InternalScheduler, PortConfig
 from repro.core.segmentation import SegmentationBlock
+from repro.core.workloads import FeederOp, drive_port
 from repro.policies import BufferPolicy, PolicySpec, make_policy
 from repro.queueing import PacketQueueManager
 from repro.sim import Clock, Simulator
 from repro.sim.clock import SEC
-from repro.sim.kernel import make_simulator
 
 #: Bits moved per MMS operation (one 64-byte segment).
 BITS_PER_OP = 512
@@ -89,18 +88,15 @@ class MMS:
                                       num_segments=config.num_segments,
                                       num_descriptors=config.num_descriptors,
                                       policy=self.policy)
-        self.breakdown = LatencyBreakdown(self.clock,
-                                          keep_samples=config.keep_samples)
         self.dmc = DataMemoryController(self.sim, self.clock,
                                         num_banks=config.num_banks,
                                         reorder_window=config.reorder_window,
                                         pipeline_overhead_ns=config.dmc_pipeline_ns)
         #: Optional telemetry probe (:mod:`repro.telemetry`); forwarded
-        #: to the DQM, which swaps in its probed dispatch/finalize
-        #: variants only when one is present.
+        #: to the DQM, which swaps in its probed dispatch only when one
+        #: is present.
         self.probe = probe
         self.dqm = DataQueueManager(self.sim, self.clock, self.pqm, self.dmc,
-                                    self.breakdown,
                                     strict_microcode=config.strict_microcode,
                                     overlap_data=config.overlap_data,
                                     probe=probe)
@@ -159,6 +155,58 @@ class MMS:
         return self.pqm.bulk_prefill(flows, packets_per_flow,
                                      segments_per_packet)
 
+    # ------------------------------------------------- driver surface
+    # The workload drivers (repro.engines.harnesses) run on this block
+    # and on the command-stream StreamMms through the same names:
+    # prefill, now, add_feeder, run, latency_records, stage_records.
+
+    @property
+    def now(self) -> int:
+        return self.sim.now
+
+    def add_feeder(self, port: int, ops: Iterator[FeederOp]) -> None:
+        """Attach a micro-op feeder (:mod:`repro.core.workloads`) to
+        ``port`` as a kernel process; spawn order is resume order at
+        equal times."""
+        self.sim.spawn(drive_port(self, port, ops), name=f"port{port}")
+
+    def run(self, until_ps: int) -> int:
+        """Advance the kernel to ``until_ps``."""
+        return self.sim.run(until_ps=until_ps)
+
+    def latency_records(self, horizon_ps: int, with_ops: bool = False
+                        ) -> List[tuple]:
+        """Per-command latency records in delivery order:
+        ``(record_time_ps, fifo_cycles, execution_cycles, data_cycles,
+        end_to_end_cycles)``, plus the :class:`CommandType` as a sixth
+        field with ``with_ops`` (:meth:`StreamMms.latency_records
+        <repro.engines.stream.StreamMms.latency_records>`' format)."""
+        period = self.clock.period_ps
+        timing = command_timing_table(period, self.config.overlap_data)
+        out = []
+        for (time_ps, _seq, op, _flow, submit, start, end, _dsub, ddone,
+             data_cycles) in self.dqm.records:
+            if time_ps > horizon_ps:
+                break
+            fifo_cycles = (start - submit) / period if submit >= 0 else 0.0
+            base = submit if submit >= 0 else start
+            e2e_cycles = ((ddone if ddone > end else end) - base) / period
+            if with_ops:
+                out.append((time_ps, fifo_cycles, timing[op][3],
+                            data_cycles, e2e_cycles, op))
+            else:
+                out.append((time_ps, fifo_cycles, timing[op][3],
+                            data_cycles, e2e_cycles))
+        return out
+
+    def stage_records(self, horizon_ps: int) -> List[tuple]:
+        """Per-command lifecycle stage bounds in delivery order:
+        ``(record_time_ps, seq, op, flow, submit_ps, start_ps, end_ps,
+        data_submit_ps, data_done_ps)`` (:meth:`StreamMms.stage_records
+        <repro.engines.stream.StreamMms.stage_records>`' format)."""
+        return [record[:9] for record in self.dqm.records
+                if record[0] <= horizon_ps]
+
     @property
     def commands_executed(self) -> int:
         return self.dqm.commands_executed
@@ -193,8 +241,9 @@ class MmsLoadResult:
     #: True mean submit-to-completion latency (see LatencyBreakdown);
     #: equals the additive total only when pointer/data work serializes.
     end_to_end_cycles: float = 0.0
-    #: Execution engine the run used ("fast" = calendar-queue kernel,
-    #: "reference" = heapq ordering spec); results are identical.
+    #: Engine knob the run used ("fast" = command-stream machine, or the
+    #: calendar-queue kernel for configs it declines; "reference" = heapq
+    #: ordering spec); results are identical.
     engine: str = "fast"
 
     @property
@@ -244,12 +293,14 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
     are prefilled so dequeues always find data.  Burst parameters and the
     DMC pipeline constant are calibrated per EXPERIMENTS.md.
 
-    ``engine`` selects the execution path: ``"fast"`` (default) runs the
-    batched command-stream engine (:mod:`repro.engines`) when it claims
-    ``config`` -- falling back to the calendar-queue kernel otherwise --
-    and ``"reference"`` the heapq ordering spec; the paths are
-    trace-identical, only wall-clock differs.  The kernel names
-    ``"calendar"``/``"heapq"`` select a DES kernel explicitly.
+    ``engine`` selects the machine (see
+    :func:`repro.engines.harnesses.make_machine`): ``"fast"`` (default)
+    runs the command-stream machine when it claims ``config`` and the
+    calendar-queue kernel otherwise, ``"reference"`` the heapq ordering
+    spec, and ``"calendar"``/``"heapq"`` name a DES kernel explicitly.
+    Every engine runs the one driver body
+    (:func:`repro.engines.harnesses.drive_load`), so the results are
+    equal; only wall-clock differs.
     """
     if offered_gbps <= 0:
         raise ValueError(f"offered_gbps must be positive, got {offered_gbps}")
@@ -259,74 +310,12 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
         raise ValueError(f"burst_prob must be in [0,1], got {burst_prob}")
     if burst_len < 1:
         raise ValueError(f"burst_len must be >= 1, got {burst_len}")
-    from repro.core.workloads import (LOAD_LAG_VOLLEYS, drive_port,
-                                      load_feed_ops)
-
-    if engine == "fast":
-        from repro.engines import stream_run_load, stream_supports
-        if stream_supports(config) is None:
-            return stream_run_load(
-                offered_gbps, num_volleys=num_volleys, config=config,
-                active_flows=active_flows, warmup_volleys=warmup_volleys,
-                burst_len=burst_len, burst_prob=burst_prob, seed=seed,
-                probe=probe)
-
-    mms = MMS(config, sim=make_simulator(engine), probe=probe)
-    sim = mms.sim
-    # each flow is enqueued once per active_flows/2 volleys; the dequeue
-    # stream lags by LOAD_LAG_VOLLEYS, so a small per-flow backlog
-    # suffices
-    mms.prefill(range(active_flows),
-                packets_per_flow=(2 * LOAD_LAG_VOLLEYS) // active_flows + 4)
-
-    volley_period_ps = round(4 * BITS_PER_OP / offered_gbps * 1000)
-
-    def feed(port: int, enqueue: bool, phase: int):
-        ops = load_feed_ops(lambda: sim.now, port, enqueue, phase,
-                            num_volleys, volley_period_ps, active_flows,
-                            burst_len, burst_prob, seed)
-        return drive_port(mms, port, ops)
-
-    sim.spawn(feed(0, True, 0), name="in")
-    sim.spawn(feed(1, False, 0), name="out")
-    sim.spawn(feed(2, True, 1), name="cpu0")
-    sim.spawn(feed(3, False, 1), name="cpu1")
-
-    # fresh recorders after warm-up for clean steady-state means
-    horizon = (num_volleys + 64) * volley_period_ps + 10 * SEC // 1000
-    warm_breakdown = LatencyBreakdown(mms.clock, keep_samples=config.keep_samples)
-    original_record_parts = mms.breakdown.record_parts
-    state = {"t0": None, "t_last": 0}
-
-    # Hook the parts-level recorder: both LatencyBreakdown.record and the
-    # DQM's allocation-free record_parts fast path funnel through it.
-    def recording_with_warmup(fifo_cycles, execution_cycles, data_cycles,
-                              end_to_end_cycles=0.0):
-        original_record_parts(fifo_cycles, execution_cycles, data_cycles,
-                              end_to_end_cycles)
-        state["t_last"] = sim.now
-        if mms.breakdown.count == warmup_volleys * 4:
-            state["t0"] = sim.now
-        if state["t0"] is not None and mms.breakdown.count > warmup_volleys * 4:
-            warm_breakdown.record_parts(fifo_cycles, execution_cycles,
-                                        data_cycles, end_to_end_cycles)
-
-    mms.breakdown.record_parts = recording_with_warmup  # type: ignore[assignment]
-    sim.run(until_ps=horizon)
-
-    elapsed = state["t_last"] - (state["t0"] or 0)
-    use = warm_breakdown if warm_breakdown.count else mms.breakdown
-    row = use.row()
-    return MmsLoadResult(
-        offered_gbps=offered_gbps,
-        completed_ops=use.count,
-        elapsed_ps=elapsed,
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=use.end_to_end.mean,
-        engine=engine,
-    )
+    from repro.engines.harnesses import drive_load
+    return drive_load(offered_gbps, num_volleys=num_volleys, config=config,
+                      active_flows=active_flows,
+                      warmup_volleys=warmup_volleys, burst_len=burst_len,
+                      burst_prob=burst_prob, seed=seed, engine=engine,
+                      probe=probe)
 
 
 def run_saturation(num_commands: int = 8000,
@@ -339,52 +328,12 @@ def run_saturation(num_commands: int = 8000,
     Reproduces "The MMS can handle one operation per 84 ns or 12 Mops/sec
     operating at 125MHz ... the overall bandwidth the MMS supports is
     6.145 Gbps" (our model: 1/10.5 cycles = 11.9 Mops ~ 6.1 Gbps).
+    ``engine`` works as in :func:`run_load`.
     """
-    from repro.core.workloads import drive_port, saturation_feed_ops
-
-    if engine == "fast":
-        from repro.engines import stream_run_saturation, stream_supports
-        if stream_supports(config) is None:
-            return stream_run_saturation(num_commands=num_commands,
-                                         config=config,
-                                         active_flows=active_flows,
-                                         probe=probe)
-
-    mms = MMS(config, sim=make_simulator(engine), probe=probe)
-    sim = mms.sim
-    per_port = num_commands // 4
-    mms.prefill(range(active_flows), packets_per_flow=per_port * 2 // active_flows + 2)
-
-    def feed(port: int, enqueue: bool, phase: int):
-        return drive_port(mms, port,
-                          saturation_feed_ops(enqueue, phase, per_port,
-                                              active_flows))
-
-    sim.spawn(feed(0, True, 0), name="in")
-    sim.spawn(feed(1, False, 0), name="out")
-    sim.spawn(feed(2, True, 1), name="cpu0")
-    sim.spawn(feed(3, False, 1), name="cpu1")
-    sim.run(until_ps=60 * SEC)
-    row = mms.breakdown.row()
-    return MmsLoadResult(
-        offered_gbps=float("inf"),
-        completed_ops=mms.breakdown.count,
-        elapsed_ps=_last_execution_ps(mms),
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=mms.breakdown.end_to_end.mean,
-        engine=engine,
-    )
-
-
-def _last_execution_ps(mms: MMS) -> int:
-    """Time span of command execution (saturation rate denominator)."""
-    # the DQM runs back-to-back under saturation; its executed count and
-    # the average latency bound the span tightly
-    return round(mms.commands_executed
-                 * mms.breakdown.execution.mean
-                 * mms.clock.period_ps)
+    from repro.engines.harnesses import drive_saturation
+    return drive_saturation(num_commands=num_commands, config=config,
+                            active_flows=active_flows, engine=engine,
+                            probe=probe)
 
 
 def figure2_diagram() -> str:

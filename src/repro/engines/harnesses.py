@@ -1,34 +1,42 @@
-"""Batched replays of the published MMS workloads.
+"""One driver per MMS workload family, on either engine.
 
-Each function here is the :class:`~repro.engines.stream.StreamMms`
-counterpart of a kernel-backed harness -- :func:`repro.core.mms.run_load`
-(Table 5), :func:`repro.core.mms.run_saturation` (the headline claim)
-and :func:`repro.policies.harness.run_overload` (the overload family).
-The workload definition is shared (:mod:`repro.core.workloads`), the
-machine replays it kernel-free, and the result objects are assembled
-with the very arithmetic the kernel harnesses use -- including the
-Table 5 warm-up window's record-order semantics -- so the returned
-values are *equal*, not approximately equal (asserted by
+Table 5 (:func:`drive_load`), the saturation headline
+(:func:`drive_saturation`) and the overload family
+(:func:`drive_overload`) each have exactly one body here.
+:func:`make_machine` picks what it runs on -- the command-stream
+:class:`~repro.engines.stream.StreamMms` when ``engine == "fast"`` and
+:func:`~repro.engines.stream.stream_supports` claims the configuration,
+otherwise the kernel :class:`~repro.core.mms.MMS` on
+:func:`~repro.sim.kernel.make_simulator` -- and both machines expose
+the same driver surface: ``prefill``, ``add_feeder``, ``run``, ``now``,
+``latency_records`` and ``stage_records``.  A driver prefills, attaches
+the shared feeders (:mod:`repro.core.workloads`), runs to the horizon
+and assembles the result from the machine's latency records, so the
+two engines share feeding, record replay and result assembly, and the
+returned values are *equal*, not approximately equal (asserted by
 ``tests/engines/``).
 
-The pacing and result-assembly arithmetic is factored into module
-functions (``load_volley_period_ps``, ``assemble_overload_result``,
-...) with the run loops kept thin on top: the checkpoint-aware drivers
-(:mod:`repro.checkpoint.runs`) call the *same* functions, which is what
-makes a resumed run's result structurally identical to an unbroken
-harness run rather than re-implemented-and-hopefully-equal.
+Probes see ``on_command`` live at the pop instant on both machines;
+``on_record`` and ``on_stages`` are replayed from the records after the
+run (:func:`replay_records`), which the probe protocol's per-channel
+independence rule permits.
 
-These entry points are not called directly by experiment code: the
-kernel harnesses route ``engine="fast"`` here whenever
-:func:`~repro.engines.stream.stream_supports` claims the configuration.
+The pacing and assembly arithmetic is factored into module functions
+(``load_volley_period_ps``, ``assemble_overload_result``, ...): the
+public harnesses (:func:`repro.core.mms.run_load`,
+:func:`repro.core.mms.run_saturation`,
+:func:`repro.policies.harness.run_overload`) validate their arguments
+and delegate to the drivers, and the checkpoint-aware drivers
+(:mod:`repro.checkpoint`) call the *same* functions, which is what makes
+a resumed run's result structurally identical to an unbroken one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 from repro.core.latency import LatencyBreakdown
-from repro.core.mms import BITS_PER_OP, MmsConfig, MmsLoadResult
+from repro.core.mms import BITS_PER_OP, MMS, MmsConfig, MmsLoadResult
 from repro.core.workloads import (
     LOAD_LAG_VOLLEYS,
     load_feed_ops,
@@ -36,50 +44,49 @@ from repro.core.workloads import (
     overload_feed_ops,
     saturation_feed_ops,
 )
-from repro.engines.stream import StreamMms
+from repro.engines.stream import StreamMms, stream_supports
 from repro.policies.harness import OverloadResult
 from repro.sim.clock import Clock, SEC
+from repro.sim.kernel import make_simulator
+
+#: Either machine a driver can run on (same driver surface).
+Machine = Union[StreamMms, MMS]
 
 #: Saturation harness horizon (far beyond any drain time).
 SATURATION_HORIZON_PS = 60 * SEC
 
-
-def _feed_probe(records: list, probe) -> None:
-    """Feed the probe's ``on_record`` channel from a ``with_ops``
-    record list, in kernel delivery order.
-
-    The kernel path emits ``on_record`` live from its probed finalize
-    processes; the stream machine replays the identical record stream
-    (same values, same delivery order -- the fuzz suite's contract)
-    after the run, so the folded telemetry is byte-identical.
-    """
-    on_record = probe.on_record
-    for time_ps, fifo_c, exec_c, data_c, e2e_c, op in records:
-        on_record(time_ps, op, fifo_c, exec_c, data_c, e2e_c)
+#: ``(enqueue, phase)`` of the four Table 5 / saturation ports, in
+#: attach order: In, Out, CPU0, CPU1.
+FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
 
 
-def _feed_stages(eng: StreamMms, probe, horizon: int) -> None:
-    """Replay the run's stage records into the probe's ``on_stages``
-    channel, in kernel delivery order.
-
-    Runs after the ``on_record`` replay -- the two channels carry no
-    ordering contract between each other (the probe docstring's
-    per-channel independence rule), so replaying them back to back is
-    byte-equivalent to the kernel's interleaved live emission."""
-    on_stages = probe.on_stages
-    for time_ps, seq, op, flow, submit, start, end, dsub, ddone in \
-            eng.stage_records(horizon):
-        on_stages(time_ps, seq, op, flow, submit, start, end, dsub, ddone)
+def make_machine(config: MmsConfig, engine: str, probe=None) -> Machine:
+    """The machine a workload runs on: the command-stream machine when
+    ``engine == "fast"`` and it claims ``config``, else the kernel MMS
+    on ``make_simulator(engine)`` (``"fast"`` falls back to the
+    calendar-queue kernel)."""
+    if engine == "fast" and stream_supports(config) is None:
+        return StreamMms(config, probe=probe)
+    return MMS(config, sim=make_simulator(engine), probe=probe)
 
 
-def _records(eng: StreamMms, probe, horizon: int) -> list:
-    """The run's ``with_ops`` latency records for the breakdown
-    replay (built once; fed to the probe when one is set)."""
+def replay_records(eng: Machine, probe, horizon: int) -> list:
+    """The run's ``with_ops`` latency records, replayed into the
+    probe's ``on_record`` channel (then its ``on_stages`` channel when
+    it wants stages) in delivery order.  The two channels carry no
+    ordering contract between each other, so replaying them back to
+    back is what every engine does."""
     records = eng.latency_records(horizon, with_ops=True)
     if probe is not None:
-        _feed_probe(records, probe)
+        on_record = probe.on_record
+        for time_ps, fifo_c, exec_c, data_c, e2e_c, op in records:
+            on_record(time_ps, op, fifo_c, exec_c, data_c, e2e_c)
         if getattr(probe, "wants_stages", False):
-            _feed_stages(eng, probe, horizon)
+            on_stages = probe.on_stages
+            for (time_ps, seq, op, flow, submit, start, end, dsub,
+                 ddone) in eng.stage_records(horizon):
+                on_stages(time_ps, seq, op, flow, submit, start, end, dsub,
+                          ddone)
     return records
 
 
@@ -91,7 +98,9 @@ def load_volley_period_ps(offered_gbps: float) -> int:
 
 
 def load_prefill_packets(active_flows: int) -> int:
-    """Per-flow prefill depth of the Table 5 harness."""
+    """Per-flow prefill depth of the Table 5 harness: each flow is
+    enqueued once per ``active_flows / 2`` volleys and the dequeue
+    stream lags by ``LOAD_LAG_VOLLEYS``, so a small backlog suffices."""
     return (2 * LOAD_LAG_VOLLEYS) // active_flows + 4
 
 
@@ -100,20 +109,21 @@ def load_horizon_ps(num_volleys: int, volley_period_ps: int) -> int:
     return (num_volleys + 64) * volley_period_ps + 10 * SEC // 1000
 
 
-def assemble_load_result(eng: StreamMms, probe, horizon: int,
+def assemble_load_result(eng: Machine, probe, horizon: int,
                          config: MmsConfig, warmup_volleys: int,
-                         offered_gbps: float) -> MmsLoadResult:
-    """Replay the finished run's records through the exact warm-up
-    windowing of ``run_load``'s recording hook: every record advances
-    the full-run breakdown and the last-seen timestamp; the warm
-    recorder starts after ``warmup_volleys * 4`` records."""
+                         offered_gbps: float,
+                         engine: str = "fast") -> MmsLoadResult:
+    """Fold the finished run's records into one Table 5 row: every
+    record advances the full-run breakdown and the last-seen timestamp;
+    the warm recorder starts after ``warmup_volleys * 4`` records, for
+    clean steady-state means."""
     breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
     warm = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
     t0 = None
     t_last = 0
     boundary = warmup_volleys * 4
     for time_ps, fifo_c, exec_c, data_c, e2e_c, _op in \
-            _records(eng, probe, horizon):
+            replay_records(eng, probe, horizon):
         breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
         t_last = time_ps
         if breakdown.count == boundary:
@@ -132,16 +142,17 @@ def assemble_load_result(eng: StreamMms, probe, horizon: int,
         execution_cycles=row["execution"],
         data_cycles=row["data"],
         end_to_end_cycles=use.end_to_end.mean,
-        engine="fast",
+        engine=engine,
     )
 
 
-def stream_run_load(offered_gbps: float, *, num_volleys: int,
-                    config: MmsConfig, active_flows: int,
-                    warmup_volleys: int, burst_len: int, burst_prob: float,
-                    seed: int, probe=None) -> MmsLoadResult:
-    """Table 5 at one offered load, on the command-stream machine."""
-    eng = StreamMms(config, probe=probe)
+def drive_load(offered_gbps: float, *, num_volleys: int,
+               config: MmsConfig, active_flows: int, warmup_volleys: int,
+               burst_len: int, burst_prob: float, seed: int,
+               engine: str = "fast", probe=None) -> MmsLoadResult:
+    """Table 5 at one offered load (arguments validated by
+    :func:`repro.core.mms.run_load`)."""
+    eng = make_machine(config, engine, probe)
     eng.prefill(range(active_flows),
                 packets_per_flow=load_prefill_packets(active_flows))
     volley_period_ps = load_volley_period_ps(offered_gbps)
@@ -149,8 +160,7 @@ def stream_run_load(offered_gbps: float, *, num_volleys: int,
     def now() -> int:
         return eng.now
 
-    for port, (enqueue, phase) in enumerate(((True, 0), (False, 0),
-                                             (True, 1), (False, 1))):
+    for port, (enqueue, phase) in enumerate(FOUR_PORTS):
         eng.add_feeder(port, load_feed_ops(
             now, port, enqueue, phase, num_volleys, volley_period_ps,
             active_flows, burst_len, burst_prob, seed))
@@ -158,7 +168,7 @@ def stream_run_load(offered_gbps: float, *, num_volleys: int,
     horizon = load_horizon_ps(num_volleys, volley_period_ps)
     eng.run(horizon)
     return assemble_load_result(eng, probe, horizon, config,
-                                warmup_volleys, offered_gbps)
+                                warmup_volleys, offered_gbps, engine)
 
 
 # ================================================== saturation pacing
@@ -168,15 +178,16 @@ def saturation_prefill_packets(per_port: int, active_flows: int) -> int:
     return per_port * 2 // active_flows + 2
 
 
-def assemble_saturation_result(eng: StreamMms, probe, horizon: int,
-                               config: MmsConfig) -> MmsLoadResult:
+def assemble_saturation_result(eng: Machine, probe, horizon: int,
+                               config: MmsConfig,
+                               engine: str = "fast") -> MmsLoadResult:
     breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
     for _time_ps, fifo_c, exec_c, data_c, e2e_c, _op in \
-            _records(eng, probe, horizon):
+            replay_records(eng, probe, horizon):
         breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
     row = breakdown.row()
-    # the DQM runs back-to-back under saturation (see
-    # core.mms._last_execution_ps)
+    # the DQM runs back-to-back under saturation: its executed count and
+    # the average latency bound the execution span tightly
     elapsed = round(eng.commands_executed
                     * breakdown.execution.mean
                     * eng.clock.period_ps)
@@ -188,27 +199,26 @@ def assemble_saturation_result(eng: StreamMms, probe, horizon: int,
         execution_cycles=row["execution"],
         data_cycles=row["data"],
         end_to_end_cycles=breakdown.end_to_end.mean,
-        engine="fast",
+        engine=engine,
     )
 
 
-def stream_run_saturation(*, num_commands: int, config: MmsConfig,
-                          active_flows: int, probe=None) -> MmsLoadResult:
-    """The headline saturation experiment, on the command-stream
-    machine."""
-    eng = StreamMms(config, probe=probe)
+def drive_saturation(*, num_commands: int, config: MmsConfig,
+                     active_flows: int, engine: str = "fast",
+                     probe=None) -> MmsLoadResult:
+    """The headline saturation experiment."""
+    eng = make_machine(config, engine, probe)
     per_port = num_commands // 4
     eng.prefill(range(active_flows),
                 packets_per_flow=saturation_prefill_packets(per_port,
                                                             active_flows))
-    for port, (enqueue, phase) in enumerate(((True, 0), (False, 0),
-                                             (True, 1), (False, 1))):
+    for port, (enqueue, phase) in enumerate(FOUR_PORTS):
         eng.add_feeder(port,
                        saturation_feed_ops(enqueue, phase, per_port,
                                            active_flows))
     horizon = SATURATION_HORIZON_PS
     eng.run(horizon)
-    return assemble_saturation_result(eng, probe, horizon, config)
+    return assemble_saturation_result(eng, probe, horizon, config, engine)
 
 
 # ==================================================== overload pacing
@@ -231,16 +241,16 @@ def overload_horizon_ps(num_arrivals: int, enq_period_ps: int,
             + SEC // 1000)
 
 
-def assemble_overload_result(eng: StreamMms, cfg: MmsConfig, shape: str,
+def assemble_overload_result(eng: Machine, cfg: MmsConfig, shape: str,
                              counters: Dict[str, int], horizon: int,
                              probe=None,
                              engine_label: str = "fast") -> OverloadResult:
+    """The policy's loss counters after the run (the records only feed
+    the probe: the overload result wants counters, not latencies)."""
     if probe is not None:
-        # replay only: the overload result wants counters, not records
-        _feed_probe(eng.latency_records(horizon, with_ops=True), probe)
-        if getattr(probe, "wants_stages", False):
-            _feed_stages(eng, probe, horizon)
-    stats = eng.policy.stats
+        replay_records(eng, probe, horizon)
+    policy = eng.policy
+    stats = policy.stats
     return OverloadResult(
         policy=cfg.policy.name,
         shape=shape,
@@ -253,28 +263,19 @@ def assemble_overload_result(eng: StreamMms, cfg: MmsConfig, shape: str,
         pushed_out_segments=stats.pushed_out_segments,
         pushed_out_bytes=stats.pushed_out_bytes,
         dequeued_segments=counters["dequeued"],
-        residual_segments=eng.policy.total_segments,
+        residual_segments=policy.total_segments,
         capacity_segments=cfg.num_segments,
         elapsed_ps=eng.now,
         engine=engine_label,
     )
 
 
-def stream_run_overload(cfg: MmsConfig, shape: str, *, num_arrivals: int,
-                        active_flows: int,
-                        engine_label: str = "fast",
-                        probe=None) -> OverloadResult:
-    """One overload experiment, on the command-stream machine.
-
-    ``cfg`` is the already-resolved build (policy spec, seed and record
-    retention folded in by :func:`repro.policies.harness.run_overload`,
-    which owns the argument validation and routes here).
-    """
-    eng = StreamMms(cfg, probe=probe)
-
+def attach_overload(eng: Machine, shape: str, num_arrivals: int,
+                    active_flows: int, counters: Dict[str, int]) -> int:
+    """Attach the overload feeders -- three shaped enqueue ports, then
+    the closed-loop drain -- and return the run horizon."""
     drain_period, enq_period = overload_pacing_ps(eng.clock)
     per_port = num_arrivals // 3
-    counters = {"dequeued": 0}
     for port in range(3):
         eng.add_feeder(port, overload_feed_ops(shape, port, per_port,
                                                active_flows, enq_period,
@@ -282,9 +283,21 @@ def stream_run_overload(cfg: MmsConfig, shape: str, *, num_arrivals: int,
     eng.add_feeder(3, overload_drain_ops(eng.pqm.queued_packets,
                                          active_flows, drain_period,
                                          counters))
+    return overload_horizon_ps(num_arrivals, enq_period,
+                               eng.config.num_segments, drain_period)
 
-    horizon = overload_horizon_ps(num_arrivals, enq_period,
-                                  cfg.num_segments, drain_period)
+
+def drive_overload(cfg: MmsConfig, shape: str, *, num_arrivals: int,
+                   active_flows: int, engine: str = "fast",
+                   probe=None) -> OverloadResult:
+    """One overload experiment.  ``cfg`` is the already-resolved build
+    (policy spec, seed and record retention folded in by
+    :func:`repro.policies.harness.run_overload`, which owns the argument
+    validation)."""
+    eng = make_machine(cfg, engine, probe)
+    counters = {"dequeued": 0}
+    horizon = attach_overload(eng, shape, num_arrivals, active_flows,
+                              counters)
     eng.run(horizon)
     return assemble_overload_result(eng, cfg, shape, counters, horizon,
-                                    probe=probe, engine_label=engine_label)
+                                    probe=probe, engine_label=engine)

@@ -28,35 +28,37 @@ re-implementation hazard.
 
 Workloads the machine cannot replay exactly (non-default port
 arrangements whose backpressure interleavings it does not model) are
-declared by :func:`stream_supports`, and the harness entry points fall
-back to the calendar-queue kernel for them.
+declared by :func:`stream_supports`, and the workload drivers
+(:mod:`repro.engines.harnesses`) run them on the calendar-queue kernel.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.core.commands import (
     DATA_READ_COMMANDS,
     DATA_WRITE_COMMANDS,
     CommandType,
 )
-from repro.core.dqm import MicrocodeMismatchError, command_timing_table
+from repro.core.dqm import (
+    MicrocodeMismatchError,
+    command_timing_table,
+    dispatch_command,
+)
 from repro.core.mms import MmsConfig
 from repro.core.scheduler import DEFAULT_PORTS
+from repro.core.workloads import FeederOp
 from repro.mem.timing import DdrTiming
 from repro.policies import BufferPolicy, make_policy
 from repro.policies.base import DroppedSegment
 from repro.queueing import PacketQueueManager
 from repro.sim.clock import NS, Clock
 
-#: Micro-op a feeder generator may yield: a positive int sleep (ps) or a
-#: command tuple ``(CommandType, flow, dst_flow, eop, length)``.
-FeederOp = Union[int, Tuple[CommandType, int, Optional[int], bool, int]]
-
-#: A feeder: generator of micro-ops (see :data:`FeederOp`).
+#: A feeder: generator of micro-ops (see
+#: :data:`repro.core.workloads.FeederOp`).
 Feeder = Iterator[FeederOp]
 
 # Wake kinds (heap entries are ``(time_ps, seq, kind, arg)``; ``seq``
@@ -192,7 +194,7 @@ class StreamMms:
         #: and disables the inlined opcode branches; when None, the hot
         #: loop carries no telemetry call sites (structural absence).
         #: ``on_record`` is replayed from :meth:`latency_records` by the
-        #: harnesses after the run.
+        #: workload drivers after the run, as on the kernel.
         self.probe = probe
 
     # --------------------------------------------------------- wiring
@@ -489,54 +491,13 @@ class StreamMms:
     # ------------------------------------------------------- dispatch
 
     def _dispatch(self, cmd: list):
-        """Functional execution (mirrors ``DataQueueManager._dispatch``);
-        returns ``(result, trace_len, data_slot)``."""
-        t = cmd[C_OP]
-        flow = cmd[C_FLOW]
-        pqm = self.pqm
-        if t is CommandType.ENQUEUE:
-            slot, trace = pqm.admit_enqueue(flow, eop=cmd[C_EOP],
-                                            length=cmd[C_LEN])
-            result = slot
-            data = None if isinstance(slot, DroppedSegment) else slot
-        elif t is CommandType.DEQUEUE:
-            info, trace = pqm.dequeue_segment(flow)
-            result, data = info, info.slot
-        elif t is CommandType.READ:
-            info, trace = pqm.read_segment(flow)
-            result, data = info, info.slot
-        elif t is CommandType.OVERWRITE:
-            info, trace = pqm.overwrite_segment(flow)
-            result, data = info, info.slot
-        elif t is CommandType.DELETE:
-            info, trace = pqm.delete_segment(flow)
-            result, data = info, None
-        elif t is CommandType.DELETE_PACKET:
-            trace = pqm.delete_packet(flow)
-            result, data = None, None
-        elif t is CommandType.MOVE:
-            trace = pqm.move_packet(flow, cmd[C_DST])
-            result, data = None, None
-        elif t is CommandType.OVERWRITE_LENGTH:
-            info, trace = pqm.overwrite_segment_length(flow, cmd[C_LEN])
-            result, data = info, None
-        elif t is CommandType.OVERWRITE_LENGTH_MOVE:
-            trace = pqm.overwrite_length_and_move(flow, cmd[C_DST],
-                                                  cmd[C_LEN])
-            result, data = None, None
-        elif t is CommandType.OVERWRITE_MOVE:
-            info, trace = pqm.overwrite_and_move(flow, cmd[C_DST])
-            result, data = info, info.slot
-        elif t is CommandType.APPEND_HEAD:
-            slot, trace = pqm.append_head(flow)
-            result = slot
-            data = None if isinstance(slot, DroppedSegment) else slot
-        elif t is CommandType.APPEND_TAIL:
-            slot, trace = pqm.append_tail(flow, length=cmd[C_LEN])
-            result = slot
-            data = None if isinstance(slot, DroppedSegment) else slot
-        else:
-            raise ValueError(f"unknown command type {t}")
+        """Functional execution through the DQM's opcode switch
+        (:func:`repro.core.dqm.dispatch_command`, with the
+        :class:`~repro.core.commands.Command` defaults for ``pid`` and
+        the segment index); returns ``(result, trace_len, data_slot)``."""
+        result, trace, data = dispatch_command(
+            self.pqm, cmd[C_OP], cmd[C_FLOW], cmd[C_DST], cmd[C_EOP],
+            cmd[C_LEN])
         hook = self.trace_hook
         if hook is not None:
             hook(cmd, result, trace)
@@ -561,9 +522,10 @@ class StreamMms:
         """Per-command latency records in kernel delivery order.
 
         Each entry is ``(record_time_ps, fifo_cycles, execution_cycles,
-        data_cycles, end_to_end_cycles)`` -- exactly what the kernel
-        path's ``_finalize`` process feeds ``record_parts``, in the
-        order those processes resume.  With ``with_ops`` each entry
+        data_cycles, end_to_end_cycles)`` -- exactly what
+        :meth:`MMS.latency_records <repro.core.mms.MMS.latency_records>`
+        derives from the kernel DQM's finalize processes, in the order
+        those processes resume.  With ``with_ops`` each entry
         additionally carries the :class:`CommandType` as a sixth field
         (the telemetry replay keys histograms by it).  Records are
         delivered when the data transfer completes (data commands) or
@@ -613,8 +575,8 @@ class StreamMms:
 
         Each entry is ``(record_time_ps, seq, op, flow, submit_ps,
         start_ps, end_ps, data_submit_ps, data_done_ps)`` -- exactly
-        what the kernel path's traced finalize feeds ``on_stages``, in
-        the order those processes resume.  ``seq`` is the dispatch
+        what the kernel DQM's finalize processes record, in the order
+        those processes resume.  ``seq`` is the dispatch
         index: the DQM is serial, so completion (append) order in
         ``_done`` *is* dispatch order, shared with the kernel's
         ``commands_executed`` stamp.  Delivery instants and skip rules

@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
 
-from repro.checkpoint.atomic import write_json_atomic
 
 #: Schema version of one serialized event line.
 EVENT_SCHEMA = 1
@@ -256,21 +255,14 @@ class SweepLog:
     """The sweep pool's one code path for task lifecycle reporting.
 
     Every transition goes through :meth:`task`, which appends the
-    typed event to the shared ``events.jsonl`` *and* rewrites the
-    task's ``<name>.heartbeat.json`` document -- the PR 8 format,
-    now derived from the same :class:`Event` objects so the two views
-    cannot drift.  With no sink (un-journaled throwaway sweeps) every
-    method is a no-op.
+    typed event to the shared ``events.jsonl``.  With no sink
+    (un-journaled throwaway sweeps) every method is a no-op.
     """
 
     def __init__(self, sink: Optional[EventSink],
-                 names: Sequence[str],
-                 heartbeat_paths: Optional[Sequence[str]] = None) -> None:
+                 names: Sequence[str]) -> None:
         self.sink = sink
         self.names = list(names)
-        self.heartbeat_paths = list(heartbeat_paths) \
-            if heartbeat_paths is not None else None
-        self._heartbeats: Dict[int, List[Dict[str, Any]]] = {}
 
     def sweep(self, action: str, *,
               extra: Optional[Dict[str, Any]] = None) -> None:
@@ -280,16 +272,7 @@ class SweepLog:
 
     def task(self, idx: int, action: str, attempt: int, *,
              extra: Optional[Dict[str, Any]] = None) -> None:
-        """One task transition: event line + heartbeat rewrite."""
-        if self.sink is None:
-            return
-        event = self.sink.emit("task", action, self.names[idx],
-                               attempt=attempt, extra=extra)
-        if self.heartbeat_paths is None:
-            return
-        entries = self._heartbeats.setdefault(idx, [])
-        entries.append({"event": event.action, "attempt": attempt,
-                        "elapsed_s": round(event.elapsed_s, 3)})
-        write_json_atomic(self.heartbeat_paths[idx],
-                          {"schema": 1, "name": self.names[idx],
-                           "events": entries})
+        """One task transition, as one event line."""
+        if self.sink is not None:
+            self.sink.emit("task", action, self.names[idx],
+                           attempt=attempt, extra=extra)

@@ -1,9 +1,8 @@
 """Live sweep progress: journal-directory state, tables, metrics.
 
 :func:`load_sweep` folds a journal directory's monitoring artifacts --
-the shared ``events.jsonl`` (preferred), the per-task
-``<name>.heartbeat.json`` documents (legacy fallback for pre-event
-journals) and the journaled result documents -- into one
+the shared ``events.jsonl`` and the journaled result documents --
+into one
 :class:`SweepStatus`: per-task terminal/live state, attempts, wall/CPU,
 stragglers and an ETA.  The renderers turn that into the ``watch``
 table, the ``sweep-status`` summary and the ``report`` timeline;
@@ -85,7 +84,7 @@ class SweepStatus:
     """Everything the watch/status renderers need about one sweep."""
 
     journal_dir: str
-    source: str                      # "events" | "heartbeats"
+    source: str                      # "events"
     tasks: List[TaskProgress]
     events: List[Event]
     total: int
@@ -207,42 +206,6 @@ def _fold_events(events: List[Event], now_wall: float
         interrupted
 
 
-def _fold_heartbeats(journal_dir: str) -> List[TaskProgress]:
-    """Legacy fallback: reconstruct task state from the per-task
-    heartbeat documents of a pre-events journal."""
-    tasks: List[TaskProgress] = []
-    for entry in sorted(os.listdir(journal_dir)):
-        if not entry.endswith(".heartbeat.json"):
-            continue
-        try:
-            with open(os.path.join(journal_dir, entry),
-                      encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        t = TaskProgress(name=str(doc.get("name", entry)))
-        open_since: Optional[float] = None
-        for hb in doc.get("events", []):
-            action = hb.get("event")
-            elapsed = hb.get("elapsed_s", 0.0)
-            t.attempts = max(t.attempts, hb.get("attempt", 0))
-            if action == "start":
-                t.state = "running"
-                open_since = elapsed
-            elif action in ("retry", "finish", "fail"):
-                if open_since is not None:
-                    t.wall_s += max(elapsed - open_since, 0.0)
-                    open_since = None
-                if action == "retry":
-                    t.state = "retrying"
-                    t.retries.append((hb.get("attempt", t.attempts), ""))
-                else:
-                    t.state = "done" if action == "finish" else "failed"
-        t.wall_s = round(t.wall_s, 3)
-        tasks.append(t)
-    return tasks
-
-
 def _result_doc(journal_dir: str, name: str) -> Optional[Dict[str, Any]]:
     path = os.path.join(journal_dir, safe_name(name) + ".json")
     try:
@@ -264,28 +227,25 @@ def load_sweep(journal_dir: str,
                now_wall: Optional[float] = None) -> SweepStatus:
     """Fold one journal directory into a :class:`SweepStatus`.
 
-    Raises :class:`ValueError` when the directory carries no
-    monitoring artifacts at all (not a journal, or an empty one).
+    Raises :class:`ValueError` when the directory carries no (or an
+    empty) ``events.jsonl`` -- not a monitored journal.
     """
     if not os.path.isdir(journal_dir):
         raise ValueError(f"{journal_dir}: not a directory")
     now = time.time() if now_wall is None else now_wall
 
     ev_path = events_path(journal_dir)
-    if os.path.exists(ev_path):
-        events = read_events(ev_path)
-        tasks, jobs, _announced, skipped, interrupted = _fold_events(
-            events, now)
-        source = "events"
-    else:
-        events = []
-        tasks, jobs, skipped, interrupted = \
-            _fold_heartbeats(journal_dir), None, 0, None
-        source = "heartbeats"
-    if not tasks and not events:
+    if not os.path.exists(ev_path):
         raise ValueError(
-            f"{journal_dir}: no {EVENTS_FILENAME} and no heartbeat "
-            f"documents -- not a monitored journal directory")
+            f"{journal_dir}: no {EVENTS_FILENAME} -- not a monitored "
+            f"journal directory")
+    events = read_events(ev_path)
+    if not events:
+        raise ValueError(
+            f"{journal_dir}: empty {EVENTS_FILENAME} -- not a monitored "
+            f"journal directory")
+    tasks, jobs, _announced, skipped, interrupted = _fold_events(
+        events, now)
 
     # Cross-check against the journaled result documents: a task whose
     # result landed is done even if its finish event was lost (and the
@@ -304,7 +264,7 @@ def load_sweep(journal_dir: str,
                 task.state = "done"
             cache.add(_spec_hash(doc))
 
-    status = SweepStatus(journal_dir=journal_dir, source=source,
+    status = SweepStatus(journal_dir=journal_dir, source="events",
                          tasks=tasks, events=events, total=len(tasks),
                          jobs=jobs, skipped_from_journal=skipped,
                          interrupted=interrupted,
@@ -484,8 +444,6 @@ def render_timeline(status: SweepStatus) -> str:
             detail = f"  {cells}" if cells else ""
         lines.append(f"  {event.elapsed_s:>9.3f}s  {event.kind}."
                      f"{event.action}{detail}")
-    if not status.events:
-        lines.append("  (no event log; heartbeat reconstruction)")
     lines.append("per-task:")
     width = max([len(t.name) for t in status.tasks] + [4])
     for task in status.tasks:

@@ -17,14 +17,16 @@ overload situations:
   long queues).
 
 Everything runs through the real MMS blocks (port FIFOs, DQM schedule
-timing, DMC transfers), and the ``engine`` knob works exactly like
-Table 5's: ``"fast"`` routes to the DES-free command-stream machine
-(:mod:`repro.engines`; kernel fallback for configurations it declines),
-``"reference"`` to the heapq kernel.  The paths are trace-identical,
-and the policy decisions are a pure function of (seed, arrival order),
-so the drop/accept counters are byte-identical across engines --
-asserted by the equivalence tests, the differential fuzz suite and the
-benchmark gate.
+timing, DMC transfers).  :func:`run_overload` validates its arguments
+and delegates to the one overload driver
+(:func:`repro.engines.harnesses.drive_overload`), whose ``engine`` knob
+works exactly like Table 5's: ``"fast"`` runs the DES-free
+command-stream machine (kernel fallback for configurations it
+declines), ``"reference"`` the heapq kernel.  The machines are
+trace-identical, and the policy decisions are a pure function of
+(seed, arrival order), so the drop/accept counters are byte-identical
+across engines -- asserted by the equivalence tests, the differential
+fuzz suite and the benchmark gate.
 """
 
 from __future__ import annotations
@@ -36,15 +38,8 @@ from typing import TYPE_CHECKING, Dict, Optional
 if TYPE_CHECKING:
     from repro.telemetry.probe import Probe
 
-from repro.core.mms import MMS, MmsConfig
-from repro.core.workloads import (
-    drive_port,
-    overload_drain_ops,
-    overload_feed_ops,
-)
+from repro.core.mms import MmsConfig
 from repro.policies.base import PolicySpec
-from repro.sim.clock import SEC
-from repro.sim.kernel import make_simulator
 
 #: Traffic shapes of the overload scenario family.
 SHAPES = ("burst", "sustained", "incast")
@@ -125,62 +120,7 @@ def run_overload(policy: PolicySpec, shape: str, *,
     cfg = dataclasses.replace(config, policy=policy, policy_seed=seed,
                               policy_records=keep_records)
 
-    if engine == "fast":
-        from repro.engines import stream_run_overload, stream_supports
-        if stream_supports(cfg) is None:
-            return stream_run_overload(cfg, shape,
-                                       num_arrivals=num_arrivals,
-                                       active_flows=active_flows,
-                                       engine_label=engine,
-                                       probe=probe)
-
-    mms = MMS(cfg, sim=make_simulator(engine), probe=probe)
-    sim = mms.sim
-    pol = mms.policy
-
-    # Pacing: the DQM serves one command per ~10.5 cycles; the drain
-    # dequeues at twice that interval and the three enqueue ports
-    # together offer four segments per drain slot -- 2x oversubscription
-    # in steady state, shaped per repro.core.workloads.overload_feed_ops.
-    service_ps = round(10.5 * mms.clock.period_ps)
-    drain_period = 2 * service_ps
-    enq_period = 3 * drain_period // 4     # per port; 3 ports
-
-    per_port = num_arrivals // 3
-    counters = {"dequeued": 0}
-
-    for port in range(3):
-        sim.spawn(drive_port(mms, port,
-                             overload_feed_ops(shape, port, per_port,
-                                               active_flows, enq_period,
-                                               counters)),
-                  name=f"enq{port}")
-    sim.spawn(drive_port(mms, 3,
-                         overload_drain_ops(mms.pqm.queued_packets,
-                                            active_flows, drain_period,
-                                            counters)),
-              name="drain")
-
-    horizon = (num_arrivals * 16 * enq_period
-               + config.num_segments * 4 * drain_period
-               + SEC // 1000)
-    sim.run(until_ps=horizon)
-
-    stats = pol.stats
-    return OverloadResult(
-        policy=policy.name,
-        shape=shape,
-        offered_segments=stats.offered_segments,
-        offered_bytes=stats.offered_bytes,
-        accepted_segments=stats.accepted_segments,
-        accepted_bytes=stats.accepted_bytes,
-        dropped_segments=stats.dropped_segments,
-        dropped_bytes=stats.dropped_bytes,
-        pushed_out_segments=stats.pushed_out_segments,
-        pushed_out_bytes=stats.pushed_out_bytes,
-        dequeued_segments=counters["dequeued"],
-        residual_segments=pol.total_segments,
-        capacity_segments=cfg.num_segments,
-        elapsed_ps=sim.now,
-        engine=engine,
-    )
+    from repro.engines.harnesses import drive_overload
+    return drive_overload(cfg, shape, num_arrivals=num_arrivals,
+                          active_flows=active_flows, engine=engine,
+                          probe=probe)

@@ -18,7 +18,7 @@ Typical use::
     result.metrics["banks8"]         # structured values
     blob = result.to_json()          # round-trips via RunResult.from_json
 
-The CLI front-end is ``repro-experiments list | run | sweep``
+The CLI front-end is ``repro-analysis list | run | sweep``
 (:mod:`repro.analysis.cli`).
 """
 

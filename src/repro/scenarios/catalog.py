@@ -4,16 +4,19 @@ Tables 1-5, the architecture figures, the headline claims, the
 parameter sweeps and the ablations are all declared here as
 :class:`ScenarioSpec` values bound to executors.  Executors compute
 *data* (metrics + presentation blocks + paper deltas); rendering is the
-presenter's job, and the historical ``run_tableN`` drivers are now thin
-shims over these scenarios (``repro.analysis.experiments``).
+presenter's job.
 
 Engine semantics per workload:
 
 * ``ddr`` scenarios: ``fast`` = batched bank model
   (:mod:`repro.mem.fastpath`), ``reference`` = per-access generator walk
   -- bit-identical.
-* ``mms`` / ``ixp`` / ``npu`` scenarios: ``fast`` = calendar-queue DES
-  kernel, ``reference`` = heapq ordering spec -- trace-identical.
+* ``mms`` scenarios: ``fast`` = the command-stream machine
+  (:mod:`repro.engines`; the calendar-queue DES kernel for
+  configurations it declines), ``reference`` = heapq ordering spec --
+  one driver per workload family, trace-identical.
+* ``ixp`` / ``npu`` scenarios: ``fast`` = calendar-queue DES kernel,
+  ``reference`` = heapq ordering spec -- trace-identical.
 * closed-form scenarios (Table 3/4, figures, clock sweeps) have no
   engine degree of freedom and report ``engine="n/a"``.
 """

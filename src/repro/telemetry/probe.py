@@ -9,21 +9,22 @@ path emits at its command boundaries:
   stream engine from the probed dispatch of its inlined loop.
 * ``on_record`` -- one call per latency-record delivery (the instant
   the data transfer completes, or end of execution for pointer-only
-  commands), with the full cycle decomposition.  The kernel path emits
-  it from the probed finalize process; the stream engine replays its
-  record stream in delivery order after the run.
+  commands), with the full cycle decomposition.  Both engines record
+  their deliveries during the run and the workload drivers
+  (:func:`repro.engines.harnesses.replay_records`) replay them in
+  delivery order after it; ``on_stages`` likewise.
 
-The two channels carry no ordering contract *between* each other (the
-stream engine delivers all ``on_command`` calls before replaying the
-records), so probes must keep their per-channel state independent.
+The channels carry no ordering contract *between* each other (every
+``on_command`` call arrives before the records are replayed), so
+probes must keep their per-channel state independent.
 Within a channel, call order and every argument are byte-identical
 across engines -- that is the identity contract ``tests/engines``
 asserts, and what makes telemetry an engine-agnostic layer.
 
 Probes are *structurally absent* when disabled: the execution paths
-swap in their probed dispatch/finalize variants only when a probe is
-installed at construction time, so the probes-off hot path contains no
-telemetry call sites (and no per-command branches) at all.
+swap in their probed dispatch only when a probe is installed at
+construction time, so the probes-off hot path contains no telemetry
+call sites (and no per-command branches) at all.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ class Probe:
     probe's arguments).
     """
 
-    #: Stage-transition opt-in: the execution paths emit ``on_stages``
-    #: (and pay its bookkeeping) only when this is True, so
-    #: telemetry-only probes keep the exact PR-5 probed hot path.
+    #: Stage-transition opt-in: the record replay emits ``on_stages``
+    #: only when this is True, so telemetry-only probes skip it.
     wants_stages: bool = False
 
     def on_command(self, time_ps: int, op: CommandType, flow: int,

@@ -21,10 +21,9 @@ Design constraints, mirroring :mod:`repro.monitor.events`:
   only forwards complete lines);
 * **replay-deterministic ordering** -- frames are keyed by the
   dispatched-command count, never a clock: re-running the same spec
-  publishes the identical frame sequence (per engine -- the stream
-  engine replays latency records after its command loop, so *mid-run*
-  histogram content is engine-specific; the terminal frame is
-  byte-identical across engines, like the telemetry payload itself);
+  publishes the identical frame sequence, byte-identical across
+  engines (both deliver ``on_command`` live and replay the latency
+  records after the run);
 * **structurally absent when disabled** -- nothing publishes unless a
   worker explicitly activated a publisher first: plain runs build the
   exact probe chain they always did, and no publisher means no frame

@@ -6,7 +6,7 @@
 raw trace snapshot -- into a terminal summary: the run header, the
 telemetry percentiles (PR 5's distributions), the trace attribution
 (where the time went, per component) and the drop provenance.  It is
-the triage entry point: one ``repro-experiments report results.json``
+the triage entry point: one ``repro-analysis report results.json``
 instead of spelunking nested JSON.
 """
 

@@ -1,63 +1,51 @@
-"""End-to-end tests of the (now deprecated) experiment drivers.
+"""End-to-end tests of the published artifacts and the analysis CLI.
 
-The drivers are shims over the scenario registry; byte-identity with the
-new path is asserted in ``tests/scenarios/test_runner.py``.  These tests
-keep the paper-tracking assertions on the legacy entry points.
+These keep the paper-tracking assertions on the scenario results
+(:class:`repro.scenarios.Runner`) and exercise the CLI front-end.
 """
 
 import pytest
 
-from repro.analysis import (
-    PAPER_TABLE1,
-    PAPER_TABLE4,
-    run_figure1,
-    run_figure2,
-    run_table1,
-    run_table3,
-    run_table4,
-)
+from repro.analysis import PAPER_TABLE1, PAPER_TABLE4
 from repro.analysis.cli import build_parser, main
-from repro.analysis.experiments import EXPERIMENTS
-
-#: Tier-1 runs with DeprecationWarnings as errors (pytest.ini); these
-#: golden tests exercise the deprecated shims *on purpose*, so they are
-#: the one place the warning is explicitly allowed.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.scenarios import Runner, all_scenarios, render
 
 
 def test_table1_report_matches_paper_conflict_columns():
-    report = run_table1(fast=True)
+    result = Runner().run("table1", fast=True)
     for banks, row in PAPER_TABLE1.items():
-        ours = report.values[f"banks{banks}"]
+        ours = result.metrics[f"banks{banks}"]
         # serializing and optimized conflict-only columns track closely
         assert ours[0] == pytest.approx(row[0], abs=0.03)
         assert ours[2] == pytest.approx(row[2], abs=0.03)
 
 
 def test_table3_report_exact():
-    report = run_table3()
-    assert report.values["enqueue_word"] == 216
-    assert report.values["dequeue_word"] == 230
-    assert report.values["line_copy"] == 24
-    assert "Table 3" in report.rendered
+    result = Runner().run("table3")
+    assert result.metrics["enqueue_word"] == 216
+    assert result.metrics["dequeue_word"] == 230
+    assert result.metrics["line_copy"] == 24
+    assert "Table 3" in render(result)
 
 
 def test_table4_report_exact():
-    report = run_table4()
+    result = Runner().run("table4")
     for name, want in PAPER_TABLE4.items():
-        assert report.values[name] == want
+        assert result.metrics[name] == want
 
 
 def test_figures_render():
-    assert "PowerPC" in run_figure1().rendered
-    assert "DMC" in run_figure2().rendered
+    assert "PowerPC" in render(Runner().run("figure1"))
+    assert "DMC" in render(Runner().run("figure2"))
 
 
 def test_legacy_registry_covers_all_artifacts():
-    assert set(EXPERIMENTS) == {
+    """Every published table, figure and the headline is a registered
+    scenario."""
+    assert {
         "table1", "table2", "table3", "table4", "table5",
         "figure1", "figure2", "headline",
-    }
+    } <= set(all_scenarios())
 
 
 def test_cli_parser():

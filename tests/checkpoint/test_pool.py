@@ -10,6 +10,7 @@ import pytest
 
 from repro.checkpoint.faults import _claim, write_plan
 from repro.checkpoint.pool import PoolOutcome, TaskFailure, run_tasks
+from repro.monitor.events import events_path, read_events
 
 
 def _double(payload):
@@ -141,36 +142,40 @@ def test_torn_journal_entries_rerun(tmp_path):
         assert json.load(fh) == {"value": 2}
 
 
-# ------------------------------------------------------------ heartbeats
+# ---------------------------------------------------- lifecycle events
 
-def test_heartbeats_record_lifecycle_events(tmp_path):
+def _task_events(journal, name):
+    """``(action, attempt)`` of one task's lifecycle events, plus their
+    elapsed stamps, from the journal's ``events.jsonl``."""
+    events = [e for e in read_events(events_path(journal))
+              if e.kind == "task" and e.name == name]
+    return ([(e.action, e.attempt) for e in events],
+            [e.elapsed_s for e in events])
+
+
+def test_events_record_task_lifecycle(tmp_path):
     journal = str(tmp_path / "journal")
     plan = str(tmp_path / "faults.json")
     write_plan(plan, kill={"t1": 1})
     out = run_tasks(_double, TASKS[:3], jobs=2, retries=2,
                     backoff_s=0.0, journal_dir=journal, fault_plan=plan)
     assert out.ok
-    with open(os.path.join(journal, "t1.heartbeat.json")) as fh:
-        doc = json.load(fh)
-    assert doc["schema"] == 1 and doc["name"] == "t1"
-    events = [(e["event"], e["attempt"]) for e in doc["events"]]
+    events, elapsed = _task_events(journal, "t1")
     assert events == [("start", 1), ("retry", 1), ("start", 2),
                       ("finish", 2)]
-    elapsed = [e["elapsed_s"] for e in doc["events"]]
     assert elapsed == sorted(elapsed) and elapsed[0] >= 0
-    with open(os.path.join(journal, "t0.heartbeat.json")) as fh:
-        smooth = [e["event"] for e in json.load(fh)["events"]]
-    assert smooth == ["start", "finish"]
+    smooth, _elapsed = _task_events(journal, "t0")
+    assert [action for action, _attempt in smooth] == ["start", "finish"]
+    assert not [p for p in os.listdir(journal)
+                if p.endswith(".heartbeat.json")]
 
 
-def test_heartbeats_mark_exhausted_tasks_failed(tmp_path):
+def test_events_mark_exhausted_tasks_failed(tmp_path):
     journal = str(tmp_path / "journal")
     out = run_tasks(_explode, [("bad", 0)], jobs=1, retries=1,
                     backoff_s=0.0, journal_dir=journal)
     assert not out.ok
-    with open(os.path.join(journal, "bad.heartbeat.json")) as fh:
-        events = [(e["event"], e["attempt"])
-                  for e in json.load(fh)["events"]]
+    events, _elapsed = _task_events(journal, "bad")
     assert events == [("start", 1), ("retry", 1), ("start", 2),
                       ("fail", 2)]
 

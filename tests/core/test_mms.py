@@ -48,9 +48,10 @@ def test_fifo_delay_measured_for_bursts():
 
     mms.sim.spawn(feeder())
     mms.sim.run()
-    assert mms.breakdown.count == 2
+    records = mms.latency_records(mms.now)
+    assert len(records) == 2
     # the second command waited roughly one execution latency
-    assert mms.breakdown.fifo.maximum == pytest.approx(10, abs=2)
+    assert max(r[1] for r in records) == pytest.approx(10, abs=2)
 
 def test_data_delay_recorded_only_for_data_commands():
     mms = MMS(SMALL)
@@ -58,9 +59,11 @@ def test_data_delay_recorded_only_for_data_commands():
         Command(type=CommandType.ENQUEUE, flow=1, eop=True),
         Command(type=CommandType.DELETE, flow=1),
     ])
-    assert mms.breakdown.count == 2
-    assert mms.breakdown.data.minimum == 0.0   # delete: no data access
-    assert mms.breakdown.data.maximum > 10     # enqueue: real data write
+    records = mms.latency_records(mms.now)
+    assert len(records) == 2
+    data = [r[3] for r in records]
+    assert min(data) == 0.0   # delete: no data access
+    assert max(data) > 10     # enqueue: real data write
 
 def test_execution_is_serialized():
     """One command at a time: N enqueues finish no faster than N x 10."""

@@ -114,17 +114,6 @@ def run_reference(config, scripts, drain_counters=None,
 
     mms.dqm._dispatch = dispatch
 
-    orig_rec = mms.breakdown.record_parts
-
-    def record_parts(fifo_cycles, execution_cycles, data_cycles,
-                     end_to_end_cycles=0.0):
-        cap.records.append((sim.now, fifo_cycles, execution_cycles,
-                            data_cycles, end_to_end_cycles))
-        orig_rec(fifo_cycles, execution_cycles, data_cycles,
-                 end_to_end_cycles)
-
-    mms.breakdown.record_parts = record_parts
-
     for port, script in enumerate(scripts):
         sim.spawn(drive_port(mms, port, iter(script)), name=f"fz{port}")
     if drain_counters is not None:
@@ -132,7 +121,11 @@ def run_reference(config, scripts, drain_counters=None,
             mms.pqm.queued_packets, active_flows, drain_period,
             drain_counters)), name="drain")
     sim.run(until_ps=HORIZON)
+    records = mms.latency_records(HORIZON, with_ops=True)
+    for t, f, e, d, ee, op in records:
+        tel.on_record(t, op, f, e, d, ee)
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
+    cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
     cap.snapshot_final(mms.pqm, mms.policy, sim.now,
                        mms.dqm.commands_executed)
     if drain_counters is not None:

@@ -1,5 +1,5 @@
 """The structured event log: round-trip, validation, sink atomicity,
-torn-line tolerance, and the SweepLog heartbeat unification."""
+torn-line tolerance, and the SweepLog task lifecycle."""
 
 import json
 import os
@@ -160,14 +160,9 @@ def test_events_path_is_canonical(tmp_path):
 # ------------------------------------------------------- the SweepLog
 
 
-def test_sweeplog_writes_events_and_legacy_heartbeats(tmp_path):
-    """Satellite contract: heartbeat documents come from the same
-    records as the event log -- same format as the pre-monitor writer,
-    so existing journal tooling keeps working."""
-    hb = [str(tmp_path / "t0.heartbeat.json"),
-          str(tmp_path / "t1.heartbeat.json")]
+def test_sweeplog_writes_events(tmp_path):
     sink = EventSink(events_path(str(tmp_path)))
-    log = SweepLog(sink, ["t0", "t 1"], heartbeat_paths=hb)
+    log = SweepLog(sink, ["t0", "t 1"])
     log.sweep("start", extra={"tasks": 2, "jobs": 1,
                               "names": ["t0", "t 1"]})
     log.task(0, "start", 1)
@@ -186,19 +181,11 @@ def test_sweeplog_writes_events_and_legacy_heartbeats(tmp_path):
         ("task", "finish"), ("sweep", "finish")]
     assert events[4].extra == {"reason": "boom"}
     assert events[4].attempt == 1
-
-    with open(hb[1], encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["schema"] == 1 and doc["name"] == "t 1"
-    assert [(e["event"], e["attempt"]) for e in doc["events"]] \
-        == [("start", 1), ("retry", 1), ("start", 2), ("finish", 2)]
-    elapsed = [e["elapsed_s"] for e in doc["events"]]
-    assert elapsed == sorted(elapsed)
+    assert os.listdir(str(tmp_path)) == ["events.jsonl"]
 
 
 def test_sweeplog_without_sink_is_a_noop(tmp_path):
-    log = SweepLog(None, ["t0"],
-                   heartbeat_paths=[str(tmp_path / "t0.heartbeat.json")])
+    log = SweepLog(None, ["t0"])
     log.sweep("start")
     log.task(0, "start", 1)
     log.task(0, "finish", 1)

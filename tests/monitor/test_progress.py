@@ -140,24 +140,6 @@ def test_result_documents_override_lost_events(tmp_path):
     assert status.cache_ready_specs == 1
 
 
-def test_heartbeat_fallback_for_pre_event_journals(tmp_path):
-    (tmp_path / "t0.heartbeat.json").write_text(json.dumps(
-        {"schema": 1, "name": "t0", "events": [
-            {"event": "start", "attempt": 1, "elapsed_s": 0.1},
-            {"event": "retry", "attempt": 1, "elapsed_s": 1.1},
-            {"event": "start", "attempt": 2, "elapsed_s": 1.3},
-            {"event": "finish", "attempt": 2, "elapsed_s": 2.3}]}))
-    (tmp_path / "t1.heartbeat.json").write_text(json.dumps(
-        {"schema": 1, "name": "t1", "events": [
-            {"event": "start", "attempt": 1, "elapsed_s": 0.2}]}))
-    status = load_sweep(str(tmp_path), now_wall=0.0)
-    assert status.source == "heartbeats"
-    by_name = {t.name: t for t in status.tasks}
-    assert (by_name["t0"].state, by_name["t0"].attempts) == ("done", 2)
-    assert by_name["t0"].wall_s == pytest.approx(2.0)
-    assert by_name["t1"].state == "running"
-
-
 def test_empty_directory_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="not a monitored journal"):
         load_sweep(str(tmp_path))

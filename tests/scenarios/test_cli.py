@@ -1,4 +1,4 @@
-"""CLI tests: list / run / sweep, JSON documents, legacy aliases."""
+"""CLI tests: list / run / sweep, JSON documents."""
 
 import json
 
@@ -42,18 +42,6 @@ def test_sweep_subcommand(capsys):
 def test_sweep_rejects_non_sweep_scenario():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["sweep", "table1"])
-
-
-def test_legacy_positional_invocation_still_works(capsys):
-    """`repro-experiments table4 --fast` predates the subcommands."""
-    assert main(["table4", "--fast"]) == 0
-    assert "Table 4" in capsys.readouterr().out
-
-
-def test_legacy_option_first_invocation_still_works(capsys):
-    """argparse used to accept options before the positional, too."""
-    assert main(["--fast", "table4"]) == 0
-    assert "Table 4" in capsys.readouterr().out
 
 
 def test_run_rejects_unknown_scenario():

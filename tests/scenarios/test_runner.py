@@ -1,11 +1,9 @@
-"""Runner behavior: knob threading, typed results, JSON round-trip, and
-golden byte-identity of the deprecated ``run_tableN`` shims."""
+"""Runner behavior: knob threading, typed results, JSON round-trip."""
 
 import json
 
 import pytest
 
-from repro.analysis import experiments as legacy
 from repro.scenarios import (
     Runner,
     RunResult,
@@ -98,43 +96,3 @@ def test_from_json_rejects_unknown_schema():
     d["schema"] = 99
     with pytest.raises(ValueError, match="schema"):
         RunResult.from_dict(d)
-
-
-# ------------------------------------------- golden shim byte-identity
-
-#: (legacy driver, scenario name, kwargs for both paths)
-_GOLDEN = [
-    (legacy.run_table1, "table1", dict(fast=True)),
-    (legacy.run_table3, "table3", {}),
-    (legacy.run_table4, "table4", {}),
-    (legacy.run_figure1, "figure1", {}),
-    (legacy.run_figure2, "figure2", {}),
-]
-
-
-@pytest.mark.parametrize("driver,name,kw", _GOLDEN,
-                         ids=[g[1] for g in _GOLDEN])
-def test_deprecated_driver_is_byte_identical(driver, name, kw):
-    with pytest.warns(DeprecationWarning, match=f"run_{name}"):
-        report = driver(**kw)
-    direct = Runner().run(name, **kw)
-    assert report.rendered == render(direct)
-    assert report.values == direct.metrics
-
-
-def test_deprecated_table5_with_config_matches_runner():
-    from repro.core import MmsConfig
-    cfg = MmsConfig(num_flows=1024, num_segments=8192, num_descriptors=4096)
-    with pytest.warns(DeprecationWarning):
-        report = legacy.run_table5(fast=True, config=cfg)
-    direct = Runner().run("table5", fast=True, mms=cfg)
-    assert report.rendered == render(direct)
-    assert report.values == direct.metrics
-
-
-def test_deprecated_drivers_thread_engine_and_seed():
-    with pytest.warns(DeprecationWarning):
-        a = legacy.run_table1(fast=True, seed=99, engine="reference")
-    b = Runner().run("table1", fast=True, seed=99, engine="reference")
-    assert a.rendered == render(b)
-    assert b.seed == 99 and b.engine == "reference"

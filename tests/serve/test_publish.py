@@ -169,6 +169,23 @@ def test_frame_sequence_is_replay_deterministic(tmp_path):
     assert sequences[0]  # non-empty: frames were actually published
 
 
+def test_frame_sequence_is_byte_identical_across_engines(tmp_path):
+    """Both engines feed ``on_command`` live and replay the latency
+    records after the run, so mid-run progress frames -- not just the
+    terminal telemetry -- are byte-identical across engines."""
+    sequences = []
+    for engine in ("fast", "reference"):
+        path = str(tmp_path / f"frames-{engine}.jsonl")
+        publish.activate(FramePublisher(path, every=64))
+        try:
+            Runner().run("latency-lqd-burst", fast=True, engine=engine)
+        finally:
+            publish.deactivate()
+        sequences.append(open(path, encoding="utf-8").read())
+    assert sequences[0] == sequences[1]
+    assert len(read_frames(str(tmp_path / "frames-fast.jsonl"))) > 1
+
+
 def test_publish_is_structurally_absent_from_plain_runs(tmp_path):
     """A plain CLI-style run must not import the serve daemon."""
     import subprocess
