@@ -11,16 +11,19 @@ The model here is a *cost-model simulator*: each packet executes a
 queue-management program whose memory accesses are derived from the real
 Section 5.2 data structures (:mod:`repro.queueing`) and priced by where
 the queue state lives.  Contention on the shared controllers is simulated
-with the DES kernel -- the 6-engine columns of Table 2 come out of
-queueing for the controllers, not out of a fitted constant.  See
-DESIGN.md "Calibration notes" for which constants are calibrated and to
-which published cell.
+as a closed loop -- the 6-engine columns of Table 2 come out of queueing
+for the controllers, not out of a fitted constant.  :class:`IxpSystem`
+writes that loop as DES-kernel processes (the reference);
+:class:`IxpMachine` replays it without a kernel (the default fast
+path).  See DESIGN.md "Calibration notes" for which constants are
+calibrated and to which published cell.
 """
 
 from repro.ixp.params import IxpParams, MemoryCosts, QueueRegime, regime_for_queues
 from repro.ixp.memory_units import SharedMemoryUnit
 from repro.ixp.program import PacketProgram, build_queue_program
-from repro.ixp.system import IxpSimResult, IxpSystem, simulate_ixp
+from repro.ixp.machine import IxpMachine, IxpSimResult
+from repro.ixp.system import IxpSystem, simulate_ixp
 
 __all__ = [
     "IxpParams",
@@ -30,6 +33,7 @@ __all__ = [
     "SharedMemoryUnit",
     "PacketProgram",
     "build_queue_program",
+    "IxpMachine",
     "IxpSystem",
     "IxpSimResult",
     "simulate_ixp",

@@ -12,26 +12,29 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.ixp.params import MemoryCosts
-from repro.sim import Clock, Resource, Simulator
+from repro.sim import Resource, Simulator
 from repro.sim.stats import LatencyRecorder
 
 
 class SharedMemoryUnit:
-    """A FIFO-served memory controller shared by all microengines."""
+    """A FIFO-served memory controller shared by all microengines.
 
-    def __init__(self, sim: Simulator, clock: Clock, costs: MemoryCosts,
-                 name: str) -> None:
+    ``service_ps`` / ``overhead_ps`` are the picosecond forms of a
+    :class:`~repro.ixp.params.MemoryCosts` (see
+    :func:`repro.ixp.program.ixp_timing`); ``period_ps`` converts waits
+    back to cycles.
+    """
+
+    def __init__(self, sim: Simulator, period_ps: int, service_ps: int,
+                 overhead_ps: int, name: str) -> None:
         self.sim = sim
-        self.clock = clock
-        self.costs = costs
+        self.period_ps = period_ps
         self.name = name
         self._port = Resource(sim, slots=1, name=f"{name}.port")
         self.total_accesses = 0
         self.wait = LatencyRecorder(f"{name}.wait")
-        # Pure functions of (costs, clock): convert once, not per access.
-        self._service_ps = clock.cycles_to_ps(costs.service_cycles)
-        self._overhead_ps = clock.cycles_to_ps(costs.engine_overhead_cycles)
+        self._service_ps = service_ps
+        self._overhead_ps = overhead_ps
 
     def access(self) -> Generator:
         """One blocking single-word access from microengine code.
@@ -56,4 +59,4 @@ class SharedMemoryUnit:
     def mean_wait_cycles(self) -> float:
         if self.wait.count == 0:
             return 0.0
-        return self.wait.mean / self.clock.period_ps
+        return self.wait.mean / self.period_ps

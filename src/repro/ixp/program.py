@@ -12,6 +12,7 @@ for single-segment packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ixp.params import (
     BITMAP_QUEUES_PER_WORD,
@@ -21,6 +22,11 @@ from repro.ixp.params import (
 )
 from repro.queueing import SegmentQueueManager
 from repro.queueing.segment_queues import SegmentMeta
+from repro.sim.clock import Clock
+
+#: Default run length, in unloaded packet times per engine (enough for a
+#: stable steady-state mean).
+DEFAULT_PACKETS_PER_ENGINE = 400
 
 
 @dataclass(frozen=True)
@@ -74,4 +80,51 @@ def build_queue_program(num_queues: int,
         alu_cycles=params.base_alu_cycles + regime.extra_alu_cycles,
         scan_words=scan_words,
         memory_accesses=accesses,
+    )
+
+
+class IxpTiming(NamedTuple):
+    """One configuration's picosecond costs, shared by both IXP engines
+    (:class:`~repro.ixp.machine.IxpMachine` and the kernel
+    :class:`~repro.ixp.system.IxpSystem`) so the two cannot drift apart."""
+
+    program: PacketProgram
+    period_ps: int
+    #: ALU + bitmap-scan work per packet
+    work_ps: int
+    #: controller occupancy of one access
+    service_ps: int
+    #: engine-side cost of one access after the controller is released
+    overhead_ps: int
+    #: context switch back onto the engine (multithreaded mode)
+    ctx_ps: int
+    #: blocking accesses per packet
+    accesses: int
+    #: ``run()`` length when no duration is given
+    default_duration_ps: int
+
+
+def ixp_timing(num_queues: int, num_engines: int,
+               params: IxpParams) -> IxpTiming:
+    """Validate ``num_engines`` and derive the configuration's costs."""
+    if not 1 <= num_engines <= params.num_microengines:
+        raise ValueError(
+            f"num_engines must be in [1, {params.num_microengines}], "
+            f"got {num_engines}"
+        )
+    program = build_queue_program(num_queues, params)
+    clock = Clock(params.clock_mhz)
+    costs = params.costs_for(program.regime.unit)
+    return IxpTiming(
+        program=program,
+        period_ps=clock.period_ps,
+        work_ps=clock.cycles_to_ps(
+            program.alu_cycles
+            + program.scan_words * params.bitmap_word_cycles),
+        service_ps=clock.cycles_to_ps(costs.service_cycles),
+        overhead_ps=clock.cycles_to_ps(costs.engine_overhead_cycles),
+        ctx_ps=clock.cycles_to_ps(params.context_switch_cycles),
+        accesses=program.memory_accesses,
+        default_duration_ps=(clock.cycles_to_ps(program.unloaded_cycles(params))
+                             * DEFAULT_PACKETS_PER_ENGINE),
     )

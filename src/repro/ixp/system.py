@@ -2,87 +2,47 @@
 
 One process per microengine executes the per-packet program in a loop
 (backlogged input -- Table 2 reports the *maximum rate serviced*).  All
-engines share one controller per memory unit; contention emerges from the
-DES simulation rather than from a fitted degradation factor.  Optional
-hardware multithreading (ablation) runs several program contexts per
-engine, releasing the engine during memory waits but paying the context
-switch the paper says eats the benefit.
+engines share the queue regime's memory controller; contention emerges
+from the simulation rather than from a fitted degradation factor.
+Optional hardware multithreading (ablation) runs several program contexts
+per engine, releasing the engine during memory waits but paying the
+context switch the paper says eats the benefit.
+
+:class:`IxpSystem` writes the model as generator processes on the DES
+kernel and is the executable specification; :func:`simulate_ixp`'s
+default ``engine="fast"`` replays it without a kernel
+(:class:`~repro.ixp.machine.IxpMachine`), with equal results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
+from repro.ixp.machine import IxpMachine, IxpSimResult
 from repro.ixp.memory_units import SharedMemoryUnit
 from repro.ixp.params import IxpParams
-from repro.ixp.program import PacketProgram, build_queue_program
-from repro.sim import Clock, Resource
-from repro.sim.clock import SEC
+from repro.ixp.program import IxpTiming, PacketProgram, ixp_timing
+from repro.sim import Resource
 from repro.sim.kernel import make_simulator
 
 
-@dataclass
-class IxpSimResult:
-    """Outcome of one Table 2 cell."""
-
-    num_queues: int
-    num_engines: int
-    multithreading: bool
-    packets: int
-    duration_ps: int
-    unit_utilization: float
-    mean_controller_wait_cycles: float
-    #: DES kernel the run used ("fast" = calendar queue, "reference" =
-    #: heapq ordering spec); simulated results are identical.
-    engine: str = "fast"
-
-    @property
-    def pps(self) -> float:
-        if self.duration_ps == 0:
-            return 0.0
-        return self.packets * SEC / self.duration_ps
-
-    @property
-    def kpps(self) -> float:
-        return self.pps / 1e3
-
-    @property
-    def mpps(self) -> float:
-        return self.pps / 1e6
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"IxpSimResult(q={self.num_queues}, engines={self.num_engines}, "
-            f"{self.kpps:.0f} Kpps)"
-        )
-
-
 class IxpSystem:
-    """The modelled IXP1200: engines + shared scratch/SRAM/SDRAM units."""
+    """The modelled IXP1200 on the DES kernel: engines + the shared unit."""
 
     def __init__(self, num_queues: int, num_engines: int,
                  params: IxpParams = IxpParams(),
                  multithreading: bool = False,
                  engine: str = "fast") -> None:
-        if not 1 <= num_engines <= params.num_microengines:
-            raise ValueError(
-                f"num_engines must be in [1, {params.num_microengines}], "
-                f"got {num_engines}"
-            )
+        self.timing: IxpTiming = ixp_timing(num_queues, num_engines, params)
         self.params = params
         self.num_engines = num_engines
         self.multithreading = multithreading
         self.engine = engine
-        self.clock = Clock(params.clock_mhz)
         self.sim = make_simulator(engine)
-        self.program: PacketProgram = build_queue_program(num_queues, params)
-        self.units: Dict[str, SharedMemoryUnit] = {
-            name: SharedMemoryUnit(self.sim, self.clock,
-                                   params.costs_for(name), name)
-            for name in ("scratch", "sram", "sdram")
-        }
-        self._unit = self.units[self.program.regime.unit]
+        self.program: PacketProgram = self.timing.program
+        self._unit = SharedMemoryUnit(
+            self.sim, self.timing.period_ps, self.timing.service_ps,
+            self.timing.overhead_ps, self.program.regime.unit)
         self._done = [0] * num_engines
         for e in range(num_engines):
             if multithreading:
@@ -94,10 +54,8 @@ class IxpSystem:
 
     def _engine_body(self, idx: int):
         """Single-threaded microengine: block on every memory access."""
-        prog = self.program
-        work = prog.alu_cycles + prog.scan_words * self.params.bitmap_word_cycles
-        work_ps = self.clock.cycles_to_ps(work)
-        accesses = prog.memory_accesses
+        work_ps = self.timing.work_ps
+        accesses = self.timing.accesses
         unit_access = self._unit.access
         done = self._done
         while True:
@@ -117,11 +75,9 @@ class IxpSystem:
                            name=f"me{idx}.t{t}")
 
     def _thread_body(self, idx: int, engine: Resource):
-        prog = self.program
-        work = prog.alu_cycles + prog.scan_words * self.params.bitmap_word_cycles
-        work_ps = self.clock.cycles_to_ps(work)
-        ctx_ps = self.clock.cycles_to_ps(self.params.context_switch_cycles)
-        accesses = prog.memory_accesses
+        work_ps = self.timing.work_ps
+        ctx_ps = self.timing.ctx_ps
+        accesses = self.timing.accesses
         unit_access = self._unit.access
         done = self._done
         while True:
@@ -138,20 +94,14 @@ class IxpSystem:
 
     # ---------------------------------------------------------------- run
 
-    def run(self, duration_ps: Optional[int] = None,
-            warmup_ps: int = 0) -> IxpSimResult:
+    def run(self, duration_ps: Optional[int] = None) -> IxpSimResult:
         """Run the saturated system and report the serviced rate.
 
         ``duration_ps`` defaults to the time for ~400 packets per engine
         in the unloaded model (enough for a stable steady-state mean).
         """
         if duration_ps is None:
-            per_packet = self.program.unloaded_cycles(self.params)
-            duration_ps = self.clock.cycles_to_ps(per_packet) * 400
-        if warmup_ps:
-            self.sim.run(until_ps=warmup_ps)
-            for i in range(self.num_engines):
-                self._done[i] = 0
+            duration_ps = self.timing.default_duration_ps
         start = self.sim.now
         self.sim.run(until_ps=start + duration_ps)
         return IxpSimResult(
@@ -171,7 +121,15 @@ def simulate_ixp(num_queues: int, num_engines: int,
                  multithreading: bool = False,
                  duration_ps: Optional[int] = None,
                  engine: str = "fast") -> IxpSimResult:
-    """One Table 2 cell: maximum serviced rate for a configuration."""
+    """One Table 2 cell: maximum serviced rate for a configuration.
+
+    ``engine="fast"`` runs the DES-free :class:`IxpMachine`; any other
+    name runs :class:`IxpSystem` on ``make_simulator(engine)``
+    (``"reference"`` = the heapq ordering spec, the machine's oracle).
+    """
+    if engine == "fast":
+        return IxpMachine(num_queues, num_engines, params=params,
+                          multithreading=multithreading).run(duration_ps)
     system = IxpSystem(num_queues, num_engines, params=params,
                        multithreading=multithreading, engine=engine)
     return system.run(duration_ps=duration_ps)

@@ -15,8 +15,9 @@ Engine semantics per workload:
   (:mod:`repro.engines`; the calendar-queue DES kernel for
   configurations it declines), ``reference`` = heapq ordering spec --
   one driver per workload family, trace-identical.
-* ``ixp`` / ``npu`` scenarios: ``fast`` = calendar-queue DES kernel,
-  ``reference`` = heapq ordering spec -- trace-identical.
+* ``ixp`` scenarios: ``fast`` = the DES-free IXP machine
+  (:mod:`repro.ixp.machine`), ``reference`` = the generator model on the
+  heapq ordering spec -- every result field equal.
 * closed-form scenarios (Table 3/4, figures, clock sweeps) have no
   engine degree of freedom and report ``engine="n/a"``.
 """
@@ -180,7 +181,7 @@ def _table1(spec: ScenarioSpec) -> Outcome:
                         engine_counts=(1, 6)),
     memory=MemorySpec(backend="sram"),
     supports=frozenset({"engine"}),
-    fastpath="kernel",
+    fastpath="ixp",
 ))
 def _table2(spec: ScenarioSpec) -> Outcome:
     rows: List[List[object]] = []
@@ -454,7 +455,7 @@ def _sweep_ddr_loss(spec: ScenarioSpec) -> Outcome:
         engine_counts=(1, 6)),
     memory=MemorySpec(backend="sram"),
     supports=frozenset({"engine", "budget"}),
-    fastpath="kernel",
+    fastpath="ixp",
 ))
 def _sweep_ixp_rate(spec: ScenarioSpec) -> Outcome:
     from repro.analysis.sweeps import ixp_rate_vs_queues
@@ -982,7 +983,7 @@ def _qos_drr(spec: ScenarioSpec) -> Outcome:
     memory=MemorySpec(backend="sram"),
     sched=SchedulerSpec(multithreading=True),
     supports=frozenset({"engine", "budget"}),
-    fastpath="kernel",
+    fastpath="ixp",
 ))
 def _ablation_multithreading(spec: ScenarioSpec) -> Outcome:
     engines = spec.traffic.engine_counts[0]

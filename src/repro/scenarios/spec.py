@@ -34,7 +34,8 @@ from repro.telemetry import TelemetrySpec
 from repro.trace.spans import TraceSpec
 
 #: Execution engines every scenario understands.  ``fast`` selects the
-#: batched/calendar-queue implementations, ``reference`` the original
+#: batched / DES-free / calendar-queue implementations (see
+#: :data:`FASTPATHS`), ``reference`` the original
 #: per-access / heapq executable specifications.  Simulated results are
 #: identical either way (asserted by the equivalence tests).
 ENGINES: Tuple[str, ...] = ("fast", "reference")
@@ -57,9 +58,11 @@ KINDS: Tuple[str, ...] = ("table", "figure", "headline", "sweep", "ablation",
 #: * ``"bank"``   -- batched DDR bank model (:mod:`repro.mem.fastpath`),
 #: * ``"stream"`` -- DES-free MMS command-stream machine
 #:   (:mod:`repro.engines`),
+#: * ``"ixp"``    -- DES-free IXP1200 machine (:mod:`repro.ixp.machine`),
 #: * ``"mixed"``  -- several of the above behind one scenario (e.g. the
-#:   headline runs the stream machine and the DES kernel side by side).
-FASTPATHS: Tuple[str, ...] = ("none", "kernel", "bank", "stream", "mixed")
+#:   headline runs the stream machine and the IXP machine side by side).
+FASTPATHS: Tuple[str, ...] = ("none", "kernel", "bank", "stream", "ixp",
+                              "mixed")
 
 _T = TypeVar("_T")
 

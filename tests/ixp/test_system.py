@@ -80,14 +80,6 @@ def test_result_accessors():
     assert r.mpps == pytest.approx(r.pps / 1e6)
     assert r.packets > 0
 
-def test_engine_knob_trace_identical():
-    """calendar (fast) vs heapq (reference) kernels: same Table 2 cell."""
-    fast = simulate_ixp(128, 6, engine="fast")
-    ref = simulate_ixp(128, 6, engine="reference")
-    assert fast.engine == "fast" and ref.engine == "reference"
-    assert fast.packets == ref.packets
-    assert fast.duration_ps == ref.duration_ps
-
 def test_engine_knob_rejects_unknown():
     import pytest as _pytest
     with _pytest.raises(ValueError):

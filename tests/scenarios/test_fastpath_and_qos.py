@@ -34,6 +34,21 @@ def test_stream_flagged_scenarios_are_claimed_by_the_machine():
             assert stream_supports(cfg) is None, name
 
 
+def test_ixp_flagged_scenarios_build_no_simulator(monkeypatch):
+    """An 'ixp' flag is a promise too: the fast engine runs the DES-free
+    IXP machine, so no DES kernel is ever constructed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ixp-flagged scenario built a simulator")
+
+    monkeypatch.setattr("repro.sim.kernel.Simulator.__init__", refuse)
+    flagged = [name for name, scenario in all_scenarios().items()
+               if scenario.spec.fastpath == "ixp"]
+    assert sorted(flagged) == ["ablation-multithreading",
+                               "sweep-ixp-rate-queues", "table2"]
+    for name in flagged:
+        Runner().run(name, fast=True, engine="fast")
+
+
 def test_kernel_flagged_mms_scenarios_are_rejected_by_the_machine():
     """ablation-fifo-depth is the declared fall-through example: its
     swept port arrangements are exactly what the machine refuses."""
