@@ -37,8 +37,6 @@ Benchmarks
   checked against ``sys.modules``); the monitored leg (resource
   profiling + event sink) records its overhead, event count and the
   run's rusage profile for the trajectory.
-* ``kernel_events`` -- raw same-time + delay event throughput of the two
-  kernel engines.
 
 Every recorded number carries the engine it came from
 (``reference_engine`` / ``fast_engine``).  Exits non-zero if any engine
@@ -62,7 +60,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis import paper_data as paper                     # noqa: E402
 from repro.scenarios import Runner                                 # noqa: E402
-from repro.sim.kernel import HeapqSimulator, Simulator             # noqa: E402
 
 #: Headline requirement: the batched engine must keep Table 1 at least
 #: this much faster than the reference walk.
@@ -167,7 +164,7 @@ def bench_table5_stream(quick: bool, repeats: int) -> dict:
         "speedup": round(ref_s / fast_s, 2),
         "identical_results": True,
         "budget": "full",
-        "reference_engine": "heapq kernel (sim.kernel.HeapqSimulator)",
+        "reference_engine": "DES kernel (sim.kernel.Simulator)",
         "fast_engine": "command-stream machine (repro.engines.StreamMms)",
     }
 
@@ -190,17 +187,17 @@ def bench_ablation_threads(quick: bool, repeats: int) -> dict:
         "fast_s": round(fast_s, 4),
         "speedup": round(ref_s / fast_s, 2),
         "identical_results": True,
-        "reference_engine": "heapq kernel (sim.kernel.HeapqSimulator)",
+        "reference_engine": "DES kernel (sim.kernel.Simulator)",
         "fast_engine": "DES-free IXP machine (ixp.machine.IxpMachine)",
     }
 
 
 def bench_overload(quick: bool, repeats: int) -> dict:
-    """Overload policy scenario on both kernel engines.
+    """Overload policy scenario on both engines.
 
     Records the policy-scenario provenance (policy family, traffic
     shape, drop/accept counters) alongside the usual engine timings and
-    enforces that both kernels report byte-identical counters.
+    enforces that both engines report byte-identical counters.
     """
     runner = Runner()
     name = "overload-lqd-burst"
@@ -219,7 +216,7 @@ def bench_overload(quick: bool, repeats: int) -> dict:
         "fast_s": round(fast_s, 4),
         "speedup": round(ref_s / fast_s, 2),
         "identical_results": True,
-        "reference_engine": "heapq kernel (sim.kernel.HeapqSimulator)",
+        "reference_engine": "DES kernel (sim.kernel.Simulator)",
         "fast_engine": "command-stream machine (repro.engines.StreamMms)",
         "scenario": name,
         "policy": m["policy"],
@@ -494,39 +491,6 @@ def bench_monitor(quick: bool, repeats: int, table5: dict) -> dict:
     }
 
 
-def bench_kernel_events(quick: bool, repeats: int) -> dict:
-    """Raw kernel event throughput: clocked processes with shared edges."""
-    procs, steps = (50, 200) if quick else (200, 500)
-
-    def drive(sim_cls):
-        sim = sim_cls()
-
-        def clocked(period):
-            for _ in range(steps):
-                yield period
-                yield None
-
-        for i in range(procs):
-            sim.spawn(clocked(1000 * (1 + i % 4)))
-        sim.run()
-        return sim.now
-
-    ref_s, ref_now = _best_of(lambda: drive(HeapqSimulator), repeats)
-    cal_s, cal_now = _best_of(lambda: drive(Simulator), repeats)
-    if cal_now != ref_now:
-        raise SystemExit("kernel_events: kernels disagree on final time")
-    events = procs * steps * 2
-    return {
-        "reference_s": round(ref_s, 4),
-        "fast_s": round(cal_s, 4),
-        "speedup": round(ref_s / cal_s, 2),
-        "fast_events_per_s": round(events / cal_s),
-        "identical_results": True,
-        "reference_engine": "heapq kernel (sim.kernel.HeapqSimulator)",
-        "fast_engine": "calendar-queue kernel (sim.kernel.Simulator)",
-    }
-
-
 def bench_serve(quick: bool, repeats: int) -> dict:
     """Serving-path cost on a live daemon: cached vs uncached requests.
 
@@ -637,7 +601,6 @@ def main(argv=None) -> int:
         "bench_table5_stream": bench_table5_stream,
         "bench_ablation_threads": bench_ablation_threads,
         "bench_overload": bench_overload,
-        "kernel_events": bench_kernel_events,
     }
     results = {}
     for name, fn in benches.items():

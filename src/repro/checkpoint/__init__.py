@@ -7,8 +7,8 @@ contract:
   engine with **exact** snapshots -- every scalar actor, the wake heap,
   the policy books and the telemetry collectors serialize precisely,
   and feeders resume by observation-tape replay (:mod:`.feeders`).
-* :class:`KernelRun` (:mod:`.kernel_runs`) drives the calendar/heapq
-  kernel with **replay-anchored** snapshots -- rebuild, deterministic
+* :class:`KernelRun` (:mod:`.kernel_runs`) drives the DES kernel
+  with **replay-anchored** snapshots -- rebuild, deterministic
   replay to the anchor, then fingerprint + event-schedule verification.
 
 Either way, a run split at any rest point and resumed from the JSON

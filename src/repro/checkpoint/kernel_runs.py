@@ -1,4 +1,4 @@
-"""Checkpoint-aware drivers for the calendar/heapq kernel path.
+"""Checkpoint-aware drivers for the DES kernel path.
 
 The kernel executes workloads as suspended generator *processes*, and
 Python generators cannot be serialized.  So kernel checkpoints are
@@ -55,7 +55,6 @@ from repro.checkpoint.snapshot import (
 from repro.core.mms import MMS
 from repro.core.workloads import overload_drain_ops
 from repro.engines import harnesses
-from repro.sim.kernel import make_simulator
 
 #: Workload families a KernelRun can drive (see module docstring).
 KERNEL_WORKLOADS = ("overload", "script")
@@ -150,9 +149,7 @@ class KernelRun:
 
     def _build(self) -> None:
         p = self.params
-        label = p.get("engine_label", "reference")
-        self.mms = MMS(self.config, sim=make_simulator(label),
-                       probe=self.probe)
+        self.mms = MMS(self.config, probe=self.probe)
         self.sim = self.mms.sim
         mms = self.mms
 

@@ -242,8 +242,8 @@ class MmsLoadResult:
     #: equals the additive total only when pointer/data work serializes.
     end_to_end_cycles: float = 0.0
     #: Engine knob the run used ("fast" = command-stream machine, or the
-    #: calendar-queue kernel for configs it declines; "reference" = heapq
-    #: ordering spec); results are identical.
+    #: DES kernel for configs it declines; "reference" = the DES kernel);
+    #: results are identical.
     engine: str = "fast"
 
     @property
@@ -296,11 +296,10 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
     ``engine`` selects the machine (see
     :func:`repro.engines.harnesses.make_machine`): ``"fast"`` (default)
     runs the command-stream machine when it claims ``config`` and the
-    calendar-queue kernel otherwise, ``"reference"`` the heapq ordering
-    spec, and ``"calendar"``/``"heapq"`` name a DES kernel explicitly.
-    Every engine runs the one driver body
-    (:func:`repro.engines.harnesses.drive_load`), so the results are
-    equal; only wall-clock differs.
+    DES kernel otherwise, ``"reference"`` always the DES kernel; any
+    other name raises :class:`ValueError`.  Every engine runs the one
+    driver body (:func:`repro.engines.harnesses.drive_load`), so the
+    results are equal; only wall-clock differs.
     """
     if offered_gbps <= 0:
         raise ValueError(f"offered_gbps must be positive, got {offered_gbps}")

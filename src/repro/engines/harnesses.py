@@ -6,8 +6,8 @@ Table 5 (:func:`drive_load`), the saturation headline
 :func:`make_machine` picks what it runs on -- the command-stream
 :class:`~repro.engines.stream.StreamMms` when ``engine == "fast"`` and
 :func:`~repro.engines.stream.stream_supports` claims the configuration,
-otherwise the kernel :class:`~repro.core.mms.MMS` on
-:func:`~repro.sim.kernel.make_simulator` -- and both machines expose
+otherwise the kernel :class:`~repro.core.mms.MMS` on the DES
+:class:`~repro.sim.kernel.Simulator` -- and both machines expose
 the same driver surface: ``prefill``, ``add_feeder``, ``run``, ``now``,
 ``latency_records`` and ``stage_records``.  A driver prefills, attaches
 the shared feeders (:mod:`repro.core.workloads`), runs to the horizon
@@ -47,7 +47,6 @@ from repro.core.workloads import (
 from repro.engines.stream import StreamMms, stream_supports
 from repro.policies.harness import OverloadResult
 from repro.sim.clock import Clock, SEC
-from repro.sim.kernel import make_simulator
 
 #: Either machine a driver can run on (same driver surface).
 Machine = Union[StreamMms, MMS]
@@ -63,11 +62,14 @@ FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
 def make_machine(config: MmsConfig, engine: str, probe=None) -> Machine:
     """The machine a workload runs on: the command-stream machine when
     ``engine == "fast"`` and it claims ``config``, else the kernel MMS
-    on ``make_simulator(engine)`` (``"fast"`` falls back to the
-    calendar-queue kernel)."""
+    (``"reference"``, and the fallback for configs the machine
+    declines)."""
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {engine!r} "
+                         "(choose 'fast' or 'reference')")
     if engine == "fast" and stream_supports(config) is None:
         return StreamMms(config, probe=probe)
-    return MMS(config, sim=make_simulator(engine), probe=probe)
+    return MMS(config, probe=probe)
 
 
 def replay_records(eng: Machine, probe, horizon: int) -> list:

@@ -3,8 +3,8 @@
 :class:`StreamMms` executes an MMS command workload -- port feeders,
 per-port command FIFOs, the serial DQM, and the DMC's bank-aware reorder
 window -- without the discrete-event kernel.  Where the kernel round-trips
-every command through generator processes, event objects and a calendar
-queue (a dozen kernel events per command), the machine advances a handful
+every command through generator processes, event objects and an event
+heap (a dozen kernel events per command), the machine advances a handful
 of scalar actor states over preallocated structures: FIFO occupancy is a
 deque per port, the DQM is a round-robin cursor plus one in-flight
 command, the DMC is the bank release array plus the write-after-read
@@ -26,10 +26,12 @@ operations, buffer-policy decisions) runs through the very same
 which is what makes trace identity a structural property rather than a
 re-implementation hazard.
 
-Workloads the machine cannot replay exactly (non-default port
-arrangements whose backpressure interleavings it does not model) are
-declared by :func:`stream_supports`, and the workload drivers
-(:mod:`repro.engines.harnesses`) run them on the calendar-queue kernel.
+Every port arrangement is modelled: per-port FIFO depths, priorities
+and the feeder's pending-command backpressure slot.  The one workload
+the machine cannot replay exactly (a DMC completion grid that collides
+with the MMS clock grid) is declared by :func:`stream_supports`, and the
+workload drivers (:mod:`repro.engines.harnesses`) run it on the DES
+kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.core.dqm import (
     dispatch_command,
 )
 from repro.core.mms import MmsConfig
-from repro.core.scheduler import DEFAULT_PORTS
 from repro.core.workloads import FeederOp
 from repro.mem.timing import DdrTiming
 from repro.policies import BufferPolicy, make_policy
@@ -85,16 +86,10 @@ R_SUBMIT, R_WRITE, R_BANK, R_COMPLETE = 0, 1, 2, 3
 def stream_supports(config: MmsConfig) -> Optional[str]:
     """Why the machine cannot replay ``config`` (None = it can).
 
-    The machine claims the standard Figure 2 port arrangement only:
-    custom per-port FIFO depths/priorities are backpressure *timing
-    studies* whose interleavings belong to the kernel.  It also requires
-    the DMC completion grid to stay off the MMS clock grid (true for
-    every paper configuration), which is what makes the latency-record
-    ordering reproducible without a kernel.
+    The machine requires the DMC completion grid to stay off the MMS
+    clock grid (true for every paper configuration), which is what makes
+    the latency-record ordering reproducible without a kernel.
     """
-    if config.ports != DEFAULT_PORTS:
-        return ("non-default port arrangement (backpressure timing study; "
-                "kernel only)")
     period_ps = Clock(config.clock_mhz).period_ps
     timing = DdrTiming()
     cycle_ps = timing.access_cycle_ns * NS

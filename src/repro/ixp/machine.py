@@ -61,10 +61,9 @@ class IxpSimResult:
     duration_ps: int
     unit_utilization: float
     mean_controller_wait_cycles: float
-    #: Engine the run used: "fast" = the DES-free :class:`IxpMachine`;
-    #: any other name = :class:`~repro.ixp.system.IxpSystem` on that DES
-    #: kernel ("reference" = heapq ordering spec).  Simulated results
-    #: are identical.
+    #: Engine the run used: "fast" = the DES-free :class:`IxpMachine`,
+    #: "reference" = :class:`~repro.ixp.system.IxpSystem` on the DES
+    #: kernel.  Simulated results are identical.
     engine: str = "fast"
 
     @property

@@ -22,8 +22,7 @@ from repro.ixp.machine import IxpMachine, IxpSimResult
 from repro.ixp.memory_units import SharedMemoryUnit
 from repro.ixp.params import IxpParams
 from repro.ixp.program import IxpTiming, PacketProgram, ixp_timing
-from repro.sim import Resource
-from repro.sim.kernel import make_simulator
+from repro.sim import Resource, Simulator
 
 
 class IxpSystem:
@@ -31,14 +30,12 @@ class IxpSystem:
 
     def __init__(self, num_queues: int, num_engines: int,
                  params: IxpParams = IxpParams(),
-                 multithreading: bool = False,
-                 engine: str = "fast") -> None:
+                 multithreading: bool = False) -> None:
         self.timing: IxpTiming = ixp_timing(num_queues, num_engines, params)
         self.params = params
         self.num_engines = num_engines
         self.multithreading = multithreading
-        self.engine = engine
-        self.sim = make_simulator(engine)
+        self.sim = Simulator()
         self.program: PacketProgram = self.timing.program
         self._unit = SharedMemoryUnit(
             self.sim, self.timing.period_ps, self.timing.service_ps,
@@ -112,7 +109,7 @@ class IxpSystem:
             duration_ps=self.sim.now - start,
             unit_utilization=self._unit.utilization,
             mean_controller_wait_cycles=self._unit.mean_wait_cycles,
-            engine=self.engine,
+            engine="reference",
         )
 
 
@@ -123,13 +120,16 @@ def simulate_ixp(num_queues: int, num_engines: int,
                  engine: str = "fast") -> IxpSimResult:
     """One Table 2 cell: maximum serviced rate for a configuration.
 
-    ``engine="fast"`` runs the DES-free :class:`IxpMachine`; any other
-    name runs :class:`IxpSystem` on ``make_simulator(engine)``
-    (``"reference"`` = the heapq ordering spec, the machine's oracle).
+    ``engine="fast"`` runs the DES-free :class:`IxpMachine`;
+    ``"reference"`` runs :class:`IxpSystem` on the DES kernel, the
+    machine's oracle.
     """
     if engine == "fast":
         return IxpMachine(num_queues, num_engines, params=params,
                           multithreading=multithreading).run(duration_ps)
+    if engine != "reference":
+        raise ValueError(f"unknown engine {engine!r} "
+                         "(choose 'fast' or 'reference')")
     system = IxpSystem(num_queues, num_engines, params=params,
-                       multithreading=multithreading, engine=engine)
+                       multithreading=multithreading)
     return system.run(duration_ps=duration_ps)

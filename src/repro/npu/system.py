@@ -22,9 +22,8 @@ from repro.npu.microprograms import CopyStrategy, QueueSwModel
 from repro.npu.params import NpuParams
 from repro.queueing import OutOfBuffersError, SegmentQueueManager
 from repro.queueing.segment_queues import SegmentMeta
-from repro.sim import Clock, Fifo
+from repro.sim import Clock, Fifo, Simulator
 from repro.sim.clock import SEC
-from repro.sim.kernel import make_simulator
 
 
 @dataclass
@@ -37,9 +36,6 @@ class NpuRunResult:
     forwarded: int
     dropped: int
     duration_ps: int
-    #: DES kernel the run used ("fast" = calendar queue, "reference" =
-    #: heapq ordering spec); simulated results are identical.
-    engine: str = "fast"
 
     @property
     def forwarded_gbps(self) -> float:
@@ -78,12 +74,10 @@ class ReferenceNpu:
     def __init__(self, strategy: CopyStrategy = CopyStrategy.WORD,
                  num_queues: int = 16, num_buffer_segments: int = 1024,
                  bram_segments: int = 32,
-                 params: NpuParams = NpuParams(),
-                 engine: str = "fast") -> None:
+                 params: NpuParams = NpuParams()) -> None:
         self.params = params
         self.strategy = strategy
-        self.engine = engine
-        self.sim = make_simulator(engine)
+        self.sim = Simulator()
         self.clock = Clock(params.cpu_clock_mhz)
         self.sw = QueueSwModel(params)
         self.queues = SegmentQueueManager(num_queues=num_queues,
@@ -195,7 +189,6 @@ class ReferenceNpu:
             forwarded=self.forwarded,
             dropped=self.dropped,
             duration_ps=self._last_activity_ps,
-            engine=self.engine,
         )
 
 

@@ -12,12 +12,11 @@ Engine semantics per workload:
   (:mod:`repro.mem.fastpath`), ``reference`` = per-access generator walk
   -- bit-identical.
 * ``mms`` scenarios: ``fast`` = the command-stream machine
-  (:mod:`repro.engines`; the calendar-queue DES kernel for
-  configurations it declines), ``reference`` = heapq ordering spec --
-  one driver per workload family, trace-identical.
+  (:mod:`repro.engines`), ``reference`` = the DES kernel -- one driver
+  per workload family, trace-identical.
 * ``ixp`` scenarios: ``fast`` = the DES-free IXP machine
   (:mod:`repro.ixp.machine`), ``reference`` = the generator model on the
-  heapq ordering spec -- every result field equal.
+  DES kernel -- every result field equal.
 * closed-form scenarios (Table 3/4, figures, clock sweeps) have no
   engine degree of freedom and report ``engine="n/a"``.
 """
@@ -633,10 +632,7 @@ def _ablation_rw_grouping(spec: ScenarioSpec) -> Outcome:
     sched=SchedulerSpec(fifo_depths=(1, 2, 4, 8)),
     mms=SWEEP_MMS_CFG,
     supports=frozenset({"engine", "seed", "budget", "mms"}),
-    # per-port FIFO backpressure study: the stream machine declares
-    # non-default port arrangements unsupported and the engine knob
-    # falls through to the DES kernel
-    fastpath="kernel",
+    fastpath="stream",
 ))
 def _ablation_fifo_depth(spec: ScenarioSpec) -> Outcome:
     import dataclasses as _dc
@@ -712,9 +708,10 @@ def _ablation_overlap(spec: ScenarioSpec) -> Outcome:
 # The first beyond-the-paper family: loss behavior of the shared
 # segment buffer under overload, per buffer-management policy
 # (repro.policies) x traffic shape (repro.policies.harness.SHAPES).
-# Every scenario runs the real MMS blocks through the DES kernel, so
-# the engine knob applies and fast/reference report byte-identical
-# drop/accept counters (tests/policies/test_harness.py).
+# Every scenario runs the real MMS blocks (the stream machine on fast,
+# the DES kernel on reference), so the engine knob applies and both
+# report byte-identical drop/accept counters
+# (tests/policies/test_harness.py).
 
 #: Policy selections of the family, keyed by the scenario-name stem.
 OVERLOAD_POLICIES: Dict[str, PolicySpec] = {

@@ -34,10 +34,10 @@ from repro.telemetry import TelemetrySpec
 from repro.trace.spans import TraceSpec
 
 #: Execution engines every scenario understands.  ``fast`` selects the
-#: batched / DES-free / calendar-queue implementations (see
-#: :data:`FASTPATHS`), ``reference`` the original
-#: per-access / heapq executable specifications.  Simulated results are
-#: identical either way (asserted by the equivalence tests).
+#: batched / DES-free implementations (see :data:`FASTPATHS`),
+#: ``reference`` the original per-access / DES-kernel executable
+#: specifications.  Simulated results are identical either way
+#: (asserted by the equivalence tests).
 ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 #: Run-length budgets.
@@ -54,15 +54,13 @@ KINDS: Tuple[str, ...] = ("table", "figure", "headline", "sweep", "ablation",
 #: matrix of README "Execution engines":
 #:
 #: * ``"none"``   -- closed-form / functional; no engine degree of freedom,
-#: * ``"kernel"`` -- calendar-queue DES kernel (vs heapq reference),
 #: * ``"bank"``   -- batched DDR bank model (:mod:`repro.mem.fastpath`),
 #: * ``"stream"`` -- DES-free MMS command-stream machine
 #:   (:mod:`repro.engines`),
 #: * ``"ixp"``    -- DES-free IXP1200 machine (:mod:`repro.ixp.machine`),
 #: * ``"mixed"``  -- several of the above behind one scenario (e.g. the
 #:   headline runs the stream machine and the IXP machine side by side).
-FASTPATHS: Tuple[str, ...] = ("none", "kernel", "bank", "stream", "ixp",
-                              "mixed")
+FASTPATHS: Tuple[str, ...] = ("none", "bank", "stream", "ixp", "mixed")
 
 _T = TypeVar("_T")
 
@@ -218,8 +216,7 @@ class ScenarioSpec:
     trace: Optional[TraceSpec] = None
     supports: FrozenSet[str] = frozenset()
     #: Capability flag: what ``engine="fast"`` resolves to (see
-    #: :data:`FASTPATHS`).  Scenarios the stream machine cannot batch
-    #: declare ``"kernel"`` and fall through to the DES kernel.
+    #: :data:`FASTPATHS`).
     fastpath: str = "none"
 
     def __post_init__(self) -> None:

@@ -17,39 +17,21 @@ the repo has no runtime dependencies and full control over determinism:
 ties are broken by a monotonically increasing sequence number, so two
 runs of the same model with the same seeds produce identical traces.
 
-Scheduler engines
------------------
+Scheduling
+----------
 
-Two interchangeable engines implement that contract:
-
-* :class:`Simulator` (the default) uses a **bucket calendar queue**: a
-  hash calendar of per-timestamp FIFO lanes indexed by a small heap of
-  *distinct* pending timestamps.  Events scheduled for the current
-  instant -- the dominant case in clocked hardware models (``yield
-  None``, event triggers, FIFO handshakes, resource grants) -- append to
-  the *current lane* in O(1) and never touch the heap; heap operations
-  are paid once per distinct future timestamp rather than once per
-  event, which collapses the cost of clock-aligned models where many
-  processes share edge timestamps.  Entries whose process already
-  finished are skipped lazily on pop (counted in
-  :attr:`Simulator.stale_skips`) instead of being sifted through the
-  comparison-based structure.
-* :class:`HeapqSimulator` is the original single-``heapq`` engine, kept
-  as the executable specification: the equivalence suite
-  (``tests/sim/test_kernel_equivalence.py``) asserts both engines
-  produce bit-identical traces on the same models.
-
-Within one timestamp both engines resume processes in push order, which
-equals sequence order (the sequence counter is monotonic), so the
-observable order is exactly the ``(time_ps, sequence)`` order of the
-original heap implementation.
+The schedule is one ``heapq`` of ``(time_ps, sequence, process, value)``
+entries, so within one timestamp processes resume in push order.
+Entries whose process already finished are skipped lazily on pop
+(counted in :attr:`Simulator.stale_skips`).  The kernel is the
+executable specification the DES-free machines (:mod:`repro.engines`,
+:mod:`repro.ixp.machine`) are checked against.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 ProcessBody = Generator[Any, Any, Any]
 
@@ -135,26 +117,12 @@ class Process:
 
 
 class Simulator:
-    """Bucket-calendar-queue simulator over integer picosecond time.
-
-    The schedule is split into the *current lane* -- a FIFO of resumes
-    due exactly now -- and a calendar of per-timestamp FIFO buckets for
-    future instants, indexed by a heap of distinct timestamps.  When the
-    lane drains, the earliest bucket is promoted wholesale to become the
-    new lane.  Same-time scheduling is therefore O(1) and allocation-free
-    beyond the ``(proc, value)`` pair; plain ``yield <int>`` delays take
-    a fast path in the run loop that never constructs an :class:`Event`.
-    """
+    """Single-``heapq`` discrete-event simulator over integer picosecond
+    time; ties at one timestamp resume in push (sequence) order."""
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: resumes due at the current instant, in sequence order
-        self._lane: Deque[Tuple["Process", Any]] = deque()
-        #: future instant -> FIFO of resumes due then
-        self._buckets: Dict[int, Deque[Tuple["Process", Any]]] = {}
-        #: heap of the *distinct* timestamps present in ``_buckets``
-        self._times: List[int] = []
-        self._pending = 0
+        self._heap: list[tuple[int, int, Process, Any]] = []
         self._seq = 0
         #: entries dropped on pop because their process had already
         #: finished (lazy deletion -- they are never re-sifted)
@@ -177,94 +145,45 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Scheduled resumes not yet executed (stale entries included)."""
-        return self._pending
+        return len(self._heap)
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the schedule empties, ``until_ps`` is reached, or
         ``max_events`` steps executed.  Returns the final simulated time."""
         steps = 0
-        lane = self._lane
-        buckets = self._buckets
-        times = self._times
-        while True:
-            if not lane:
-                if not times:
-                    break
-                when = times[0]
-                if until_ps is not None and when > until_ps:
-                    self.now = until_ps
-                    return self.now
-                heapq.heappop(times)
-                # The promoted bucket becomes the current lane: everything
-                # in it was pushed before time advanced here, so in-order.
-                lane = self._lane = buckets.pop(when)
-                self.now = when
-            proc, value = lane.popleft()
-            self._pending -= 1
+        while self._heap:
+            when, _seq, proc, value = self._heap[0]
+            if until_ps is not None and when > until_ps:
+                self.now = until_ps
+                return self.now
+            heapq.heappop(self._heap)
+            self.now = when
             if proc.done:
                 self.stale_skips += 1
                 continue
-            # --- inline Process._step + dispatch (the hot path) ---------
-            try:
-                command = proc._body.send(value)
-            except StopIteration as stop:
-                proc.done = True
-                proc.result = stop.value
-                proc._completion.trigger(stop.value)
-                command = _NO_COMMAND
-            if command is _NO_COMMAND:
-                pass
-            elif command is None:
-                self._seq += 1
-                self._pending += 1
-                lane.append((proc, None))
-            elif isinstance(command, int):
-                if command < 0:
-                    raise SimulationError(
-                        f"process {proc.name!r} yielded a negative delay {command}"
-                    )
-                self._seq += 1
-                self._pending += 1
-                if command == 0:
-                    lane.append((proc, None))
-                else:
-                    when = self.now + command
-                    bucket = buckets.get(when)
-                    if bucket is None:
-                        buckets[when] = deque(((proc, None),))
-                        heapq.heappush(times, when)
-                    else:
-                        bucket.append((proc, None))
-            elif isinstance(command, Event):
-                command._add_waiter(proc)
-            elif isinstance(command, Process):
-                command._completion._add_waiter(proc)
-            else:
-                raise SimulationError(
-                    f"process {proc.name!r} yielded unsupported command "
-                    f"{command!r} (expected int delay, Event, Process or None)"
-                )
+            proc._step(value)
             steps += 1
             if max_events is not None and steps >= max_events:
                 break
-        if until_ps is not None and not self._pending:
+        if until_ps is not None and not self._heap:
             self.now = max(self.now, until_ps)
         return self.now
 
     def run_all(self, limit_ps: int = 10 * 10**12) -> int:
         """Run to completion with a safety time limit (default 10 s)."""
         end = self.run(until_ps=limit_ps)
-        if self._pending:
+        if self._heap:
             raise SimulationError(
                 f"simulation did not quiesce before {limit_ps} ps "
-                f"({self._pending} events pending)"
+                f"({len(self._heap)} events pending)"
             )
         return end
 
     def schedule_state(self) -> Dict[str, Any]:
         """Serialize the event schedule: the clock plus every live
         pending resume as ``[when_ps, process_name, value_kind]`` in
-        ``(time, sequence)`` order.
+        ``(time, sequence)`` order (sorting a heap list yields exactly
+        that order -- the sequence is the unique tie-break).
 
         Process names carry their spawn sequence number (``name#seq``),
         so two runs of the same model produce identical serializations
@@ -273,30 +192,16 @@ class Simulator:
         (:mod:`repro.checkpoint`).  Stale entries (process already
         done) are skipped: they are unobservable.
         """
-        entries: List[List[Any]] = []
-        for proc, value in self._lane:
-            if not proc.done:
-                entries.append([self.now, proc.name, _value_kind(value)])
-        for when in sorted(self._buckets):
-            for proc, value in self._buckets[when]:
-                if not proc.done:
-                    entries.append([when, proc.name, _value_kind(value)])
+        entries = [[when, proc.name, _value_kind(value)]
+                   for when, _seq, proc, value in sorted(self._heap)
+                   if not proc.done]
         return {"now": self.now, "entries": entries}
 
     # ----------------------------------------------------------- internals
 
     def _push(self, when: int, proc: Process, value: Any) -> None:
         self._seq += 1
-        self._pending += 1
-        if when == self.now:
-            self._lane.append((proc, value))
-            return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = deque(((proc, value),))
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append((proc, value))
+        heapq.heappush(self._heap, (when, self._seq, proc, value))
 
     def _schedule_resume(self, proc: Process, value: Any) -> None:
         self._push(self.now, proc, value)
@@ -321,108 +226,11 @@ class Simulator:
             )
 
 
-#: Sentinel marking "process terminated, nothing to dispatch" in the
-#: inlined run loop.
-_NO_COMMAND = object()
-
-
 def _value_kind(value: Any) -> str:
     """Stable label of a pending resume value for serialization (the
     values themselves -- event payloads, process results -- are model
     objects and not JSON)."""
     return "none" if value is None else type(value).__name__
-
-
-class HeapqSimulator(Simulator):
-    """Reference engine: the original single-``heapq`` event loop.
-
-    Kept verbatim as the executable specification of the kernel's
-    ordering semantics; the equivalence tests run identical models on
-    both engines and require bit-identical traces.  New models should
-    use :class:`Simulator`.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[tuple[int, int, Process, Any]] = []
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
-    def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        steps = 0
-        while self._heap:
-            when, _seq, proc, value = self._heap[0]
-            if until_ps is not None and when > until_ps:
-                self.now = until_ps
-                return self.now
-            heapq.heappop(self._heap)
-            self.now = when
-            if proc.done:
-                self.stale_skips += 1
-                continue
-            proc._step(value)
-            steps += 1
-            if max_events is not None and steps >= max_events:
-                break
-        if until_ps is not None and not self._heap:
-            self.now = max(self.now, until_ps)
-        return self.now
-
-    def run_all(self, limit_ps: int = 10 * 10**12) -> int:
-        end = self.run(until_ps=limit_ps)
-        if self._heap:
-            raise SimulationError(
-                f"simulation did not quiesce before {limit_ps} ps "
-                f"({len(self._heap)} events pending)"
-            )
-        return end
-
-    def schedule_state(self) -> Dict[str, Any]:
-        """Heapq engine's :meth:`Simulator.schedule_state`: the heap in
-        ``(time, sequence)`` order (sorting a heap list yields exactly
-        that order -- the sequence is the unique tie-break)."""
-        entries = [[when, proc.name, _value_kind(value)]
-                   for when, _seq, proc, value in sorted(self._heap)
-                   if not proc.done]
-        return {"now": self.now, "entries": entries}
-
-    def _push(self, when: int, proc: Process, value: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, proc, value))
-
-
-#: Engine registry used by the equivalence tests and benchmarks.
-ENGINES: Dict[str, type] = {
-    "calendar": Simulator,
-    "heapq": HeapqSimulator,
-}
-
-#: Scenario-level engine names: every DES-backed experiment exposes the
-#: same ``engine="fast" | "reference"`` knob, which for kernel-driven
-#: models resolves to the calendar-queue kernel vs the heapq ordering
-#: spec (proven trace-identical by tests/sim/test_kernel_equivalence.py).
-ENGINE_ALIASES: Dict[str, str] = {
-    "fast": "calendar",
-    "reference": "heapq",
-}
-
-
-def make_simulator(engine: str = "calendar") -> Simulator:
-    """Instantiate a kernel by engine name.
-
-    Accepts the kernel names ``"calendar"`` / ``"heapq"`` and the
-    scenario-level aliases ``"fast"`` / ``"reference"``.
-    """
-    try:
-        cls = ENGINES[ENGINE_ALIASES.get(engine, engine)]
-    except KeyError:
-        choices = sorted(ENGINES) + sorted(ENGINE_ALIASES)
-        raise ValueError(
-            f"unknown kernel engine {engine!r} (choose from {choices})"
-        ) from None
-    return cls()
 
 
 def all_of(sim: Simulator, events: Iterable[Event]) -> Event:

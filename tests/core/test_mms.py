@@ -209,7 +209,8 @@ def test_config_validation():
         MmsConfig(num_flows=0)
 
 def test_run_load_engines_trace_identical():
-    """The uniform engine knob: calendar vs heapq kernel, same results."""
+    """The uniform engine knob: stream machine vs DES kernel, same
+    results."""
     kw = dict(num_volleys=200, config=LOAD_CFG, warmup_volleys=40)
     fast = run_load(3.2, engine="fast", **kw)
     ref = run_load(3.2, engine="reference", **kw)
@@ -227,5 +228,8 @@ def test_run_saturation_engines_trace_identical():
         == (ref.completed_ops, ref.elapsed_ps)
 
 def test_run_load_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        run_load(1.0, num_volleys=10, config=LOAD_CFG, engine="turbo")
+    for engine in ("turbo", "calendar", "heapq"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_load(1.0, num_volleys=10, config=LOAD_CFG, engine=engine)
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_saturation(num_commands=10, config=LOAD_CFG, engine=engine)

@@ -1,7 +1,7 @@
 """Differential fuzz: random command streams, kernel vs stream machine.
 
 Random per-port scripts (mixed MMS operations, random sleeps, random
-seeds) are replayed twice -- through the reference heapq kernel (the full
+seeds) are replayed twice -- through the reference DES kernel (the full
 ``MMS`` with ``drive_port`` adapters) and through the command-stream
 machine -- and everything observable must be byte-identical:
 
@@ -20,7 +20,9 @@ machine -- and everything observable must be byte-identical:
 
 Two families are generated: rich mixed-op scripts with no policy (every
 command type, per-port flow ownership keeps the scripts valid under any
-legal interleaving), and enqueue-heavy overload scripts against a tiny
+legal interleaving), on the Figure 2 ports and on random port
+arrangements (1-6 ports, random priorities and FIFO depths), and
+enqueue-heavy overload scripts against a tiny
 buffer for each of the four policies, with the closed-loop probing drain
 of the overload harness (push-outs, drops and descriptor exhaustion all
 exercised).
@@ -33,11 +35,11 @@ import pytest
 
 from repro.core.commands import CommandType
 from repro.core.mms import MMS, MmsConfig
+from repro.core.scheduler import DEFAULT_PORTS, PortConfig
 from repro.core.workloads import drive_port, overload_drain_ops
 from repro.engines import StreamMms
 from repro.policies import PolicySpec
 from repro.sim.clock import SEC
-from repro.sim.kernel import make_simulator
 from repro.telemetry import MmsTelemetry, TelemetrySpec
 
 HORIZON = SEC  # far beyond any script's span
@@ -100,7 +102,7 @@ def run_reference(config, scripts, drain_counters=None,
                   drain_period=None, active_flows=0):
     cap = Capture()
     tel = MmsTelemetry(TELE_SPEC)
-    mms = MMS(config, sim=make_simulator("reference"), probe=tel)
+    mms = MMS(config, probe=tel)
     sim = mms.sim
     _capture_mem(cap, mms.pqm.mem)
 
@@ -269,11 +271,26 @@ def make_mixed_scripts(seed, num_ports=4, length=140, flows_per_port=3):
     return scripts
 
 
-@pytest.mark.parametrize("seed", [1, 7, 2005])
-def test_mixed_op_streams_identical(seed):
-    config = MmsConfig(num_flows=16, num_segments=4096,
-                       num_descriptors=2048)
-    scripts = make_mixed_scripts(seed)
+def random_ports(seed):
+    """A random port arrangement: 1-6 ports, priorities 0-2 and FIFO
+    depths drawn from {1, 2, 3, 4, 8}."""
+    rng = random.Random(seed)
+    return tuple(PortConfig(f"p{i}", priority=rng.randrange(3),
+                            fifo_depth=rng.choice((1, 2, 3, 4, 8)))
+                 for i in range(rng.randint(1, 6)))
+
+
+@pytest.mark.parametrize("seed,ports", [
+    *(pytest.param(seed, DEFAULT_PORTS, id=str(seed))
+      for seed in (1, 7, 2005)),
+    *(pytest.param(seed, random_ports(seed), id=f"ports{seed}")
+      for seed in range(24)),
+])
+def test_mixed_op_streams_identical(seed, ports):
+    config = MmsConfig(num_flows=max(16, 3 * len(ports)),
+                       num_segments=4096, num_descriptors=2048,
+                       ports=ports)
+    scripts = make_mixed_scripts(seed, num_ports=len(ports))
     assert_identical(run_reference(config, scripts),
                      run_stream(config, scripts))
 

@@ -1,7 +1,7 @@
-"""The DES-free IXP machine against the heapq generator model.
+"""The DES-free IXP machine against the generator model.
 
 ``simulate_ixp(engine="fast")`` runs :class:`repro.ixp.IxpMachine`;
-``engine="reference"`` runs :class:`repro.ixp.IxpSystem` on the heapq
+``engine="reference"`` runs :class:`repro.ixp.IxpSystem` on the DES
 kernel.  Every :class:`IxpSimResult` field except the engine label must
 be equal (``==``, floats included), not merely close.
 """
@@ -65,8 +65,7 @@ def test_horizon_on_a_packet_completion_counts_it():
 @pytest.mark.parametrize("multithreading", [False, True])
 def test_horizon_on_a_contended_wake_instant(multithreading):
     """A horizon landing on a pending wake of the kernel model."""
-    system = IxpSystem(1024, 6, multithreading=multithreading,
-                       engine="reference")
+    system = IxpSystem(1024, 6, multithreading=multithreading)
     system.run(duration_ps=3_000_000)
     tie = system.sim.schedule_state()["entries"][0][0]
     assert tie > 3_000_000
@@ -103,7 +102,6 @@ def test_fast_engine_builds_no_simulator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the fast IXP path built a simulator")
 
-    monkeypatch.setattr("repro.ixp.system.make_simulator", refuse)
     monkeypatch.setattr("repro.sim.kernel.Simulator.__init__", refuse)
     for multithreading in (False, True):
         result = simulate_ixp(128, 6, multithreading=multithreading,

@@ -81,6 +81,6 @@ def test_result_accessors():
     assert r.packets > 0
 
 def test_engine_knob_rejects_unknown():
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        simulate_ixp(16, 1, engine="turbo")
+    for engine in ("turbo", "calendar", "heapq"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate_ixp(16, 1, engine=engine)

@@ -116,7 +116,7 @@ def test_list_json_reports_fastpath_capabilities(capsys):
     assert len(by_name) == len(scenario_names())
     assert by_name["table5"]["fastpath"] == "stream"
     assert by_name["table1"]["fastpath"] == "bank"
-    assert by_name["ablation-fifo-depth"]["fastpath"] == "kernel"
+    assert by_name["ablation-fifo-depth"]["fastpath"] == "stream"
     assert by_name["table4"]["fastpath"] == "none"
 
 

@@ -49,17 +49,20 @@ def test_ixp_flagged_scenarios_build_no_simulator(monkeypatch):
         Runner().run(name, fast=True, engine="fast")
 
 
-def test_kernel_flagged_mms_scenarios_are_rejected_by_the_machine():
-    """ablation-fifo-depth is the declared fall-through example: its
-    swept port arrangements are exactly what the machine refuses."""
-    from repro.core.scheduler import PortConfig
-    spec = all_scenarios()["ablation-fifo-depth"].spec
-    assert spec.fastpath == "kernel"
-    for depth in spec.sched.fifo_depths:
-        ports = tuple(PortConfig(n, priority=0, fifo_depth=depth)
-                      for n in ("in", "out", "cpu0", "cpu1"))
-        cfg = dataclasses.replace(spec.mms, ports=ports)
-        assert stream_supports(cfg) is not None
+def test_fast_flagged_scenarios_build_no_simulator(monkeypatch):
+    """Every engine-knob scenario keeps its flag's promise: on
+    ``engine="fast"`` it runs batched or DES-free, so no DES kernel is
+    ever constructed (the kernel is the reference engine only)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fast-engine scenario built a simulator")
+
+    monkeypatch.setattr("repro.sim.kernel.Simulator.__init__", refuse)
+    flagged = {name: scenario.spec.fastpath
+               for name, scenario in all_scenarios().items()
+               if scenario.spec.fastpath != "none"}
+    assert set(flagged.values()) == {"bank", "stream", "ixp", "mixed"}
+    for name in flagged:
+        Runner().run(name, fast=True, engine="fast")
 
 
 def test_spec_rejects_bad_fastpath_values():

@@ -14,7 +14,7 @@ def _spec(**kw):
     base.update(kw)
     if "fastpath" not in kw:
         # keep the helper consistent with the engine-knob invariant
-        base["fastpath"] = "kernel" if "engine" in base["supports"] \
+        base["fastpath"] = "bank" if "engine" in base["supports"] \
             else "none"
     return ScenarioSpec(**base)
 

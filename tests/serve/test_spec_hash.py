@@ -69,7 +69,7 @@ def test_capability_change_changes_the_hash():
     base = _spec()
     changed = dataclasses.replace(base,
                                   supports=frozenset({"engine"}),
-                                  fastpath="kernel")
+                                  fastpath="stream")
     assert base.spec_hash() != changed.spec_hash()
 
 
