@@ -238,11 +238,9 @@ def finish_result(workload: str, params: Dict[str, Any],
     p = params
     if workload == "load":
         return harnesses.assemble_load_result(
-            eng, probe, horizon, eng.config, p["warmup_volleys"],
-            p["offered_gbps"])
+            eng, probe, horizon, p["warmup_volleys"], p["offered_gbps"])
     if workload == "saturation":
-        return harnesses.assemble_saturation_result(eng, probe, horizon,
-                                                    eng.config)
+        return harnesses.assemble_saturation_result(eng, probe, horizon)
     if workload == "overload":
         return harnesses.assemble_overload_result(
             eng, eng.config, p["shape"], store, horizon, probe=probe,

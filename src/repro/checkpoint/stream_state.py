@@ -2,10 +2,10 @@
 
 The stream engine is a fixed set of scalar actors over plain data
 structures -- per-port FIFO deques, the DQM cursor and in-flight
-command, the DMC bank/turnaround registers, the wake heap, the
+command, the DMC bank/turnaround and wake registers, the wake heap, the
 functional :class:`~repro.queueing.PacketQueueManager` state and the
 buffer-policy books -- so (unlike the generator-based kernel) its full
-state serializes exactly.  Two representation details matter:
+state serializes exactly.  Three representation details matter:
 
 * **Command identity.**  Command records are *mutable lists* aliased
   across the structures (a FIFO entry later becomes ``_cur`` and then a
@@ -18,11 +18,17 @@ state serializes exactly.  Two representation details matter:
   completing a request, the tail finalizing ``_cur``) land in the same
   shared records they would have in an unbroken run.
 * **Rest points.**  Snapshots are taken only between ``run()`` calls.
-  The engine is then at rest: no actor is mid-step, the wake heap (the
-  over-horizon wake included -- the kernel run contract keeps it
-  scheduled) is a plain list in heap order, and feeders are suspended
-  at a micro-op boundary, which is what lets
+  The engine is then at rest: no actor is mid-step, the pending wakes
+  (the over-horizon wake included -- the kernel run contract keeps it
+  scheduled) are the heap plus the DMC's one-wake register, and
+  feeders are suspended at a micro-op boundary, which is what lets
   :mod:`repro.checkpoint.feeders` fast-forward them.
+* **One wake list.**  The document stores every pending wake in one
+  ``"wakes"`` list of ``[t, seq, kind, arg]`` entries: the register's
+  wake is written there as ``[t, seq, kind, null]``, and restore moves
+  the DMC-kind entry back into the register and heapifies the rest.
+  Documents written when the DMC's wakes still lived on the heap
+  therefore load unchanged.
 
 Feeder generators themselves are not serialized here: the snapshot
 records each feeder's consumed-op count and observation tape
@@ -35,13 +41,13 @@ pairing.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify
 from typing import Any, Callable, Dict, Iterator, List, Sequence
 
 from repro.checkpoint.feeders import CountedFeeder, Tape
 from repro.checkpoint.snapshot import CheckpointError
 from repro.core.commands import CommandType
-from repro.engines.stream import C_OP, C_REQ
-from repro.engines.stream import StreamMms
+from repro.engines.stream import C_OP, C_REQ, DMC_WAKE_KINDS, StreamMms
 from repro.queueing.freelist import FreeList
 from repro.queueing.packet_queues import PacketQueueManager, SegmentInfo
 
@@ -108,10 +114,13 @@ def snapshot_stream(eng: StreamMms) -> Dict[str, Any]:
     pqm = eng.pqm
     mem = pqm.mem
     sram = mem._sram
+    wakes = [list(w) for w in eng._wakes]
+    if eng._dmc_kind is not None:
+        wakes.append([eng._dmc_t, eng._dmc_seq, eng._dmc_kind, None])
     state: Dict[str, Any] = {
         "now": eng.now,
         "seq": eng._seq,
-        "wakes": [list(w) for w in eng._wakes],
+        "wakes": wakes,
         "commands": serialized_cmds,
         "fifos": fifo_ids,
         "pending": pending,
@@ -125,7 +134,7 @@ def snapshot_stream(eng: StreamMms) -> Dict[str, Any]:
             "last_islot": eng._last_islot,
             "last_was_read": eng._last_was_read,
             "queue": [req_id(r) for r in eng._dmc_queue],
-            "waiting": eng._dmc_waiting,
+            "waiting": eng._dmc_kind is None,
             "req": None if eng._dmc_req is None else req_id(eng._dmc_req),
         },
         "pqm": {
@@ -159,7 +168,8 @@ def restore_stream(eng: StreamMms, state: Dict[str, Any],
     bypassed: the restored wake heap already holds every pending feeder
     wake (scheduling new ones would double-run the feeders).
     """
-    if eng._feeders or eng._wakes or eng._done or eng.now != 0:
+    if eng._feeders or eng._wakes or eng._dmc_kind is not None \
+            or eng._done or eng.now != 0:
         raise CheckpointError(
             "restore_stream needs a freshly constructed engine")
     if len(factories) != len(state["feeders"]):
@@ -168,12 +178,15 @@ def restore_stream(eng: StreamMms, state: Dict[str, Any],
             f"provided {len(factories)} factories")
 
     # ---- command identity table ---------------------------------
+    # (the execution-cycle stamp is derived, not stored: it is the
+    # opcode's table value, which the pop instant rewrites anyway)
     cmds: List[list] = []
     for row in state["commands"]:
-        cmd = [CommandType(row[0])] + list(row[1:C_REQ])
+        op = CommandType(row[0])
         req = row[C_REQ]
-        cmd.append(None if req is None else list(req))
-        cmds.append(cmd)
+        cmds.append([op] + list(row[1:C_REQ])
+                    + [None if req is None else list(req),
+                       eng._opinfo[op][2]])
 
     eng._fifos = [deque(cmds[i] for i in ids) for ids in state["fifos"]]
     eng._pending = [None if p is None else (p[0], cmds[p[1]])
@@ -192,13 +205,23 @@ def restore_stream(eng: StreamMms, state: Dict[str, Any],
     eng._last_islot = dmc["last_islot"]
     eng._last_was_read = dmc["last_was_read"]
     eng._dmc_queue = [_owned_req(cmds, i) for i in dmc["queue"]]
-    eng._dmc_waiting = dmc["waiting"]
     eng._dmc_req = None if dmc["req"] is None \
         else _owned_req(cmds, dmc["req"])
 
-    # the serialized heap list is already in heap order -- rebuilding
-    # it as tuples preserves the invariant without re-heapifying
-    eng._wakes = [tuple(w) for w in state["wakes"]]
+    # the DMC-kind entry (at most one: the DMC is a singleton) goes
+    # back into the register; the rest become the heap
+    wakes = [tuple(w) for w in state["wakes"]
+             if w[2] not in DMC_WAKE_KINDS]
+    dmc_wakes = [w for w in state["wakes"] if w[2] in DMC_WAKE_KINDS]
+    if len(dmc_wakes) > 1 or bool(dmc_wakes) == dmc["waiting"]:
+        raise CheckpointError(
+            f"checkpoint has {len(dmc_wakes)} pending DMC wakes but "
+            f"records the DMC as {'idle' if dmc['waiting'] else 'busy'} "
+            f"(corrupt checkpoint)")
+    if dmc_wakes:
+        eng._dmc_t, eng._dmc_seq, eng._dmc_kind, _arg = dmc_wakes[0]
+    heapify(wakes)
+    eng._wakes = wakes
     eng.now = state["now"]
     eng._seq = state["seq"]
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, Union
 
-from repro.core.latency import LatencyBreakdown
 from repro.core.mms import BITS_PER_OP, MMS, MmsConfig, MmsLoadResult
 from repro.core.workloads import (
     LOAD_LAG_VOLLEYS,
@@ -73,12 +72,13 @@ def make_machine(config: MmsConfig, engine: str, probe=None) -> Machine:
 
 
 def replay_records(eng: Machine, probe, horizon: int) -> list:
-    """The run's ``with_ops`` latency records, replayed into the
+    """The run's latency records in delivery order, replayed into the
     probe's ``on_record`` channel (then its ``on_stages`` channel when
-    it wants stages) in delivery order.  The two channels carry no
-    ordering contract between each other, so replaying them back to
-    back is what every engine does."""
-    records = eng.latency_records(horizon, with_ops=True)
+    it wants stages).  The two channels carry no ordering contract
+    between each other, so replaying them back to back is what every
+    engine does.  The records carry the opcode (``with_ops``) only when
+    there is a probe to replay them into."""
+    records = eng.latency_records(horizon, with_ops=probe is not None)
     if probe is not None:
         on_record = probe.on_record
         for time_ps, fifo_c, exec_c, data_c, e2e_c, op in records:
@@ -111,39 +111,50 @@ def load_horizon_ps(num_volleys: int, volley_period_ps: int) -> int:
     return (num_volleys + 64) * volley_period_ps + 10 * SEC // 1000
 
 
-def assemble_load_result(eng: Machine, probe, horizon: int,
-                         config: MmsConfig, warmup_volleys: int,
-                         offered_gbps: float,
-                         engine: str = "fast") -> MmsLoadResult:
-    """Fold the finished run's records into one Table 5 row: every
-    record advances the full-run breakdown and the last-seen timestamp;
-    the warm recorder starts after ``warmup_volleys * 4`` records, for
-    clean steady-state means."""
-    breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    warm = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    t0 = None
-    t_last = 0
-    boundary = warmup_volleys * 4
-    for time_ps, fifo_c, exec_c, data_c, e2e_c, _op in \
-            replay_records(eng, probe, horizon):
-        breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
-        t_last = time_ps
-        if breakdown.count == boundary:
-            t0 = time_ps
-        if t0 is not None and breakdown.count > boundary:
-            warm.record_parts(fifo_c, exec_c, data_c, e2e_c)
+def fold_means(records) -> Tuple[int, float, float, float, float]:
+    """``(count, fifo, execution, data, end_to_end)`` means of latency
+    records, folded in one pass with the Welford mean step of
+    :class:`~repro.sim.stats.RunningStats` (``mean += (x - mean) / k``),
+    so the means are bit-identical to feeding each column through a
+    :class:`~repro.core.latency.LatencyBreakdown`.  An empty list folds
+    to zeros, as an empty recorder reads."""
+    k = 0
+    fifo = execution = data = e2e = 0.0
+    for rec in records:
+        k += 1
+        fifo += (rec[1] - fifo) / k
+        execution += (rec[2] - execution) / k
+        data += (rec[3] - data) / k
+        e2e += (rec[4] - e2e) / k
+    return k, fifo, execution, data, e2e
 
-    elapsed = t_last - (t0 or 0)
-    use = warm if warm.count else breakdown
-    row = use.row()
+
+def assemble_load_result(eng: Machine, probe, horizon: int,
+                         warmup_volleys: int, offered_gbps: float,
+                         engine: str = "fast") -> MmsLoadResult:
+    """Fold the finished run's records into one Table 5 row.
+
+    The first ``warmup_volleys * 4`` records are the warm-up; the row's
+    means are one :func:`fold_means` pass over the records after them
+    (the warm window), timed from the last warm-up record to the last
+    record.  When the warm window is empty (no warm-up, or a run too
+    short to leave it) the row folds every record instead, timed from
+    the last warm-up record if there is one, else from zero.
+    """
+    records = replay_records(eng, probe, horizon)
+    boundary = warmup_volleys * 4
+    t_last = records[-1][0] if records else 0
+    t0 = records[boundary - 1][0] if 0 < boundary <= len(records) else 0
+    window = records[boundary:] if boundary > 0 else []
+    count, fifo, execution, data, e2e = fold_means(window or records)
     return MmsLoadResult(
         offered_gbps=offered_gbps,
-        completed_ops=use.count,
-        elapsed_ps=elapsed,
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=use.end_to_end.mean,
+        completed_ops=count,
+        elapsed_ps=t_last - t0,
+        fifo_cycles=fifo,
+        execution_cycles=execution,
+        data_cycles=data,
+        end_to_end_cycles=e2e,
         engine=engine,
     )
 
@@ -169,8 +180,8 @@ def drive_load(offered_gbps: float, *, num_volleys: int,
 
     horizon = load_horizon_ps(num_volleys, volley_period_ps)
     eng.run(horizon)
-    return assemble_load_result(eng, probe, horizon, config,
-                                warmup_volleys, offered_gbps, engine)
+    return assemble_load_result(eng, probe, horizon, warmup_volleys,
+                                offered_gbps, engine)
 
 
 # ================================================== saturation pacing
@@ -181,26 +192,22 @@ def saturation_prefill_packets(per_port: int, active_flows: int) -> int:
 
 
 def assemble_saturation_result(eng: Machine, probe, horizon: int,
-                               config: MmsConfig,
                                engine: str = "fast") -> MmsLoadResult:
-    breakdown = LatencyBreakdown(eng.clock, keep_samples=config.keep_samples)
-    for _time_ps, fifo_c, exec_c, data_c, e2e_c, _op in \
-            replay_records(eng, probe, horizon):
-        breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
-    row = breakdown.row()
+    """Fold every record of the finished saturation run into one row
+    (one :func:`fold_means` pass)."""
+    count, fifo, execution, data, e2e = fold_means(
+        replay_records(eng, probe, horizon))
     # the DQM runs back-to-back under saturation: its executed count and
     # the average latency bound the execution span tightly
-    elapsed = round(eng.commands_executed
-                    * breakdown.execution.mean
-                    * eng.clock.period_ps)
+    elapsed = round(eng.commands_executed * execution * eng.clock.period_ps)
     return MmsLoadResult(
         offered_gbps=float("inf"),
-        completed_ops=breakdown.count,
+        completed_ops=count,
         elapsed_ps=elapsed,
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
-        end_to_end_cycles=breakdown.end_to_end.mean,
+        fifo_cycles=fifo,
+        execution_cycles=execution,
+        data_cycles=data,
+        end_to_end_cycles=e2e,
         engine=engine,
     )
 
@@ -220,7 +227,7 @@ def drive_saturation(*, num_commands: int, config: MmsConfig,
                                            active_flows))
     horizon = SATURATION_HORIZON_PS
     eng.run(horizon)
-    return assemble_saturation_result(eng, probe, horizon, config, engine)
+    return assemble_saturation_result(eng, probe, horizon, engine)
 
 
 # ==================================================== overload pacing

@@ -10,8 +10,12 @@ deque per port, the DQM is a round-robin cursor plus one in-flight
 command, the DMC is the bank release array plus the write-after-read
 turnaround pair, and the memoized :func:`repro.core.dqm.command_timing_table`
 picosecond costs are folded into cumulative-sum accounting per command.
-The whole machine runs as one inlined loop over a tiny wake heap (the
-same structure-over-speed trade the kernel's run loop makes, one level
+The whole machine runs as one inlined loop over a tiny wake heap plus
+one register: the DMC is a singleton actor with at most one pending
+wake, so that wake is held as ``(time, seq, kind)`` beside the heap
+rather than pushed onto it, and the loop serves whichever of the heap
+top and the register is earlier by ``(time, seq)`` (the same
+structure-over-speed trade the kernel's run loop makes, one level
 lower).
 
 Fidelity is not statistical: the machine reproduces the kernel's
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.core.commands import (
@@ -64,22 +69,32 @@ Feeder = Iterator[FeederOp]
 
 # Wake kinds (heap entries are ``(time_ps, seq, kind, arg)``; ``seq``
 # replicates the kernel's monotonic push-order tie-break within a
-# timestamp).
+# timestamp).  The two DMC kinds never enter the heap: the DMC's one
+# pending wake lives in the ``(time, seq, kind)`` register, with its
+# ``seq`` drawn from the same counter.
 _W_FEEDER = 0        # resume a feeder generator (arg = feeder index)
 _W_SERVE_POP = 1     # the DQM was kicked out of its idle wait
 _W_SERVE_HANDOFF = 2  # first-pointer-access handoff: issue the DMC transfer
 _W_SERVE_TAIL = 3    # command execution complete; serve the next one
 _W_DMC_TOP = 4       # DMC loop top (queue check + slot alignment + issue)
 _W_DMC_ISSUE = 5     # DMC reached the earliest legal issue slot
+#: The wake kinds the DMC register holds (checkpoints store them in the
+#: document's wake list; see :mod:`repro.checkpoint.stream_state`).
+DMC_WAKE_KINDS = (_W_DMC_TOP, _W_DMC_ISSUE)
+
+#: Sort key of the record passes: delivery instant, then the
+#: completion-before-finalize tie (see :meth:`StreamMms.latency_records`).
+_BY_DELIVERY = itemgetter(0, 1)
 
 _DATA_COMMANDS = DATA_READ_COMMANDS | DATA_WRITE_COMMANDS
 
 # Command records are plain lists (allocation-cheap; one per command):
 # [op, flow, dst, eop, length, port, submit_ps, start_ps, end_ps,
-#  data_slot, req].  DMC requests likewise: [submit_ps, is_write, bank,
+#  data_slot, req, execution_cycles], the last stamped at the pop
+#  instant.  DMC requests likewise: [submit_ps, is_write, bank,
 #  complete_ps] with complete_ps = -1 until issued.
 C_OP, C_FLOW, C_DST, C_EOP, C_LEN, C_PORT = 0, 1, 2, 3, 4, 5
-C_SUBMIT, C_START, C_END, C_SLOT, C_REQ = 6, 7, 8, 9, 10
+C_SUBMIT, C_START, C_END, C_SLOT, C_REQ, C_EXEC = 6, 7, 8, 9, 10, 11
 R_SUBMIT, R_WRITE, R_BANK, R_COMPLETE = 0, 1, 2, 3
 
 
@@ -174,8 +189,12 @@ class StreamMms:
         self._last_islot = 0
         self._last_was_read = False
         self._dmc_queue: List[list] = []
-        self._dmc_waiting = True
         self._dmc_req: Optional[list] = None
+        #: The DMC's pending wake ``(time, seq, kind)``; kind None = the
+        #: DMC is idle, waiting for a handoff to kick it.
+        self._dmc_t = 0
+        self._dmc_seq = 0
+        self._dmc_kind: Optional[int] = None
         # ---- feeders ------------------------------------------------
         self._feeders: List[Feeder] = []
         self._feeder_port: List[int] = []
@@ -218,14 +237,15 @@ class StreamMms:
     # ------------------------------------------------------------ run
 
     def run(self, until_ps: int) -> int:
-        """Drain the wake heap up to ``until_ps`` (kernel ``run``
+        """Drain the pending wakes up to ``until_ps`` (kernel ``run``
         contract: the first wake beyond the horizon ends the run).
 
         The body is one fused loop over every actor -- feeders, the
-        DQM's pop/handoff/tail points, and the DMC's aligned pick/issue
-        points -- with machine state held in locals; the inline blocks
-        are the hand-compiled equivalents of the kernel processes they
-        replace (named in the comments).
+        DQM's pop/handoff/tail points from the wake heap, and the DMC's
+        aligned pick/issue points from its one-wake register -- with
+        machine state held in locals; the inline blocks are the
+        hand-compiled equivalents of the kernel processes they replace
+        (named in the comments).
         """
         mem = self.pqm.mem
         count_restore = mem.count_only_traces
@@ -270,8 +290,10 @@ class StreamMms:
         fports = self._feeder_port
         # DMC state
         dmc_queue = self._dmc_queue
-        dmc_waiting = self._dmc_waiting
         dmc_req = self._dmc_req
+        dmc_t = self._dmc_t
+        dmc_seq = self._dmc_seq
+        dmc_kind = self._dmc_kind
         bank_free = self._bank_free
         cycle = self._cycle_ps
         busy = self._busy_cycles
@@ -283,14 +305,33 @@ class StreamMms:
         last_islot = self._last_islot
         last_was_read = self._last_was_read
 
+        kind: Optional[int]
         try:
-            while wakes:
-                if wakes[0][0] > until_ps:
+            while True:
+                # the next wake is the earlier by (time, seq) of the
+                # heap top and the DMC register; seq is unique, so this
+                # is the kernel's total order over one merged queue
+                if wakes:
+                    top = wakes[0]
+                    t = top[0]
+                    from_heap = dmc_kind is None or t < dmc_t or (
+                        t == dmc_t and top[1] < dmc_seq)
+                elif dmc_kind is not None:
+                    from_heap = False
+                else:
+                    break
+                if not from_heap:
+                    t = dmc_t
+                if t > until_ps:
                     # leave the over-horizon wake scheduled (kernel run
                     # contract: a later run() call resumes from it)
                     self.now = until_ps
                     return until_ps
-                t, _s, kind, arg = heappop_(wakes)
+                if from_heap:
+                    _t, _s, kind, arg = heappop_(wakes)
+                else:
+                    kind = dmc_kind
+                    dmc_kind = None
                 self.now = now = t
                 pop_now = False
 
@@ -312,10 +353,9 @@ class StreamMms:
                         req = [now, cur_info[5], slot % nbanks, -1]
                         cur[C_REQ] = req
                         dmc_queue.append(req)
-                        if dmc_waiting:
-                            dmc_waiting = False
+                        if dmc_kind is None:
                             seq += 1
-                            heappush_(wakes, (now, seq, _W_DMC_TOP, None))
+                            dmc_t, dmc_seq, dmc_kind = now, seq, _W_DMC_TOP
                     seq += 1
                     heappush_(wakes, (now + cur_info[1], seq,
                                      _W_SERVE_TAIL, None))
@@ -328,13 +368,12 @@ class StreamMms:
                         req, dmc_req = dmc_req, None
                     else:
                         if not dmc_queue:
-                            dmc_waiting = True
-                            continue
+                            continue  # idle until the next handoff
                         rem = now % cycle
                         if rem:
                             seq += 1
-                            heappush_(wakes, (now + cycle - rem, seq,
-                                             _W_DMC_TOP, None))
+                            dmc_t, dmc_seq, dmc_kind = \
+                                now + cycle - rem, seq, _W_DMC_TOP
                             continue
                         slot_no = now // cycle
                         window = reorder if reorder < len(dmc_queue) \
@@ -357,8 +396,8 @@ class StreamMms:
                         if islot > slot_no:
                             dmc_req = req
                             seq += 1
-                            heappush_(wakes, (islot * cycle, seq,
-                                             _W_DMC_ISSUE, None))
+                            dmc_t, dmc_seq, dmc_kind = \
+                                islot * cycle, seq, _W_DMC_ISSUE
                             continue
                     # issue at the current instant
                     islot = now // cycle
@@ -368,7 +407,7 @@ class StreamMms:
                     req[R_COMPLETE] = now + (wdelay if req[R_WRITE]
                                              else rdelay)
                     seq += 1
-                    heappush_(wakes, (now + cycle, seq, _W_DMC_TOP, None))
+                    dmc_t, dmc_seq, dmc_kind = now + cycle, seq, _W_DMC_TOP
 
                 elif kind == _W_FEEDER:
                     # -- a port process: pull micro-ops until it sleeps,
@@ -391,7 +430,7 @@ class StreamMms:
                             heappush_(wakes, (now + op, seq, _W_FEEDER, arg))
                             break
                         cmd = [op[0], op[1], op[2], op[3], op[4], port,
-                               now, -1, -1, None, None]
+                               now, -1, -1, None, None, 0.0]
                         if len(fifo) >= cap:
                             # backpressure: the port holds the command;
                             # the DQM's next pop from this FIFO deposits
@@ -464,6 +503,7 @@ class StreamMms:
                             f"{trace_len} pointer accesses, schedule has "
                             f"{info[3]}")
                     cmd[C_SLOT] = data_slot
+                    cmd[C_EXEC] = info[2]
                     cur = cmd
                     cur_info = info
                     seq += 1
@@ -478,8 +518,10 @@ class StreamMms:
             self._serve_waiting = serve_waiting
             self._cur = cur
             self._cur_info = cur_info
-            self._dmc_waiting = dmc_waiting
             self._dmc_req = dmc_req
+            self._dmc_t = dmc_t
+            self._dmc_seq = dmc_seq
+            self._dmc_kind = dmc_kind
             self._last_islot = last_islot
             self._last_was_read = last_was_read
 
@@ -532,38 +574,40 @@ class StreamMms:
         grids could otherwise collide.
         """
         period = self.clock.period_ps
-        opinfo = self._opinfo
         entries = []
         for cmd in self._done:
             req = cmd[C_REQ]
             end_ps = cmd[C_END]
             if req is None:
                 record_time = end_ps
-                data_done = end_ps
                 data_cycles = 0.0
                 tie = 1
             else:
                 complete = req[R_COMPLETE]
                 if complete < 0:
                     continue  # never issued inside the horizon
-                record_time = complete
-                data_done = complete
                 data_cycles = (complete - req[R_SUBMIT]) / period
-                tie = 0
+                if complete > end_ps:
+                    record_time = complete
+                    tie = 0
+                else:
+                    # the transfer finished while the DQM still
+                    # executed: the finalize finds it done and delivers
+                    # at the end of execution
+                    record_time = end_ps
+                    tie = 1
             if record_time > horizon_ps:
                 continue
             submit = cmd[C_SUBMIT]
             fifo_cycles = (cmd[C_START] - submit) / period if submit >= 0 \
                 else 0.0
             base = submit if submit >= 0 else cmd[C_START]
-            completion = end_ps if end_ps > data_done else data_done
+            rec = (record_time, fifo_cycles, cmd[C_EXEC], data_cycles,
+                   (record_time - base) / period)
             entries.append((record_time, tie,
-                            fifo_cycles, opinfo[cmd[C_OP]][2], data_cycles,
-                            (completion - base) / period, cmd[C_OP]))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        if with_ops:
-            return [(e[0], e[2], e[3], e[4], e[5], e[6]) for e in entries]
-        return [(e[0], e[2], e[3], e[4], e[5]) for e in entries]
+                            rec + (cmd[C_OP],) if with_ops else rec))
+        entries.sort(key=_BY_DELIVERY)
+        return [e[2] for e in entries]
 
     def stage_records(self, horizon_ps: int) -> List[tuple]:
         """Per-command lifecycle stage bounds in kernel delivery order.
@@ -591,15 +635,18 @@ class StreamMms:
                 complete = req[R_COMPLETE]
                 if complete < 0:
                     continue  # never issued inside the horizon
-                record_time = complete
                 data_submit = req[R_SUBMIT]
-                data_done = complete
-                tie = 0
+                if complete > end_ps:
+                    record_time = data_done = complete
+                    tie = 0
+                else:  # done before execution ended (see above)
+                    record_time = data_done = end_ps
+                    tie = 1
             if record_time > horizon_ps:
                 continue
             entries.append((record_time, tie, seq, cmd[C_OP], cmd[C_FLOW],
                             cmd[C_SUBMIT], cmd[C_START], end_ps,
                             data_submit, data_done))
-        entries.sort(key=lambda e: (e[0], e[1]))
+        entries.sort(key=_BY_DELIVERY)
         return [(e[0], e[2], e[3], e[4], e[5], e[6], e[7], e[8], e[9])
                 for e in entries]

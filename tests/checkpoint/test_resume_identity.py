@@ -22,6 +22,7 @@ exactly what it means there.
 """
 
 import dataclasses
+import heapq
 import json
 import random
 
@@ -29,6 +30,7 @@ import pytest
 
 from repro.checkpoint import (
     Checkpoint,
+    CheckpointError,
     KernelRun,
     StreamRun,
     functional_digest,
@@ -37,6 +39,7 @@ from repro.checkpoint import (
 )
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
+from repro.engines.stream import DMC_WAKE_KINDS
 from repro.policies import PolicySpec
 from repro.telemetry import TelemetrySpec
 from tests.engines.test_stream_fuzz import (
@@ -82,6 +85,7 @@ def _finalize(run: StreamRun, caps, horizon=HORIZON) -> Capture:
     for t, f, e, d, ee, op in records:
         run.probe.on_record(t, op, f, e, d, ee)
     cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
+    cap.stages = run.eng.stage_records(horizon)
     cap.telemetry = json.dumps(run.probe.snapshot().to_dict())
     cap.snapshot_final(run.eng.pqm, run.eng.policy, run.eng.now,
                        run.eng.commands_executed)
@@ -90,16 +94,24 @@ def _finalize(run: StreamRun, caps, horizon=HORIZON) -> Capture:
 
 def run_stream_with_splits(params, split_points) -> Capture:
     """Drive a StreamRun, checkpointing and resuming (through a full
-    JSON round-trip) at every split point, and capture everything."""
+    JSON round-trip) at every split point, and capture everything.
+    The capture's ``dmc_pending_splits`` counts the checkpoints taken
+    while the DMC had a wake pending (written into the document's wake
+    list from the machine's DMC register)."""
     run = StreamRun.fresh("script", params)
     caps = [_attach(run)]
+    dmc_pending = 0
     for at in sorted(split_points):
         run.run(at)
-        blob = run.checkpoint().to_json()
-        run = StreamRun.resume(Checkpoint.from_json(blob))
+        ckpt = Checkpoint.from_json(run.checkpoint().to_json())
+        dmc_pending += any(w[2] in DMC_WAKE_KINDS
+                           for w in ckpt.state["machine"]["wakes"])
+        run = StreamRun.resume(ckpt)
         caps.append(_attach(run))
     run.run(HORIZON)
-    return _finalize(run, caps)
+    cap = _finalize(run, caps)
+    cap.dmc_pending_splits = dmc_pending
+    return cap
 
 
 def _span(cap: Capture) -> int:
@@ -117,10 +129,15 @@ def test_mixed_scripts_stream_split_identical(seed):
     params = script_params(MIXED_CFG, scripts, horizon_ps=HORIZON,
                            telemetry=TELE_SPEC)
     # two independent single splits plus one two-split chain
+    dmc_pending = 0
     for splits in ([rng.randrange(1, span)],
                    [rng.randrange(1, span)],
                    sorted(rng.randrange(1, span) for _ in range(2))):
-        assert_identical(unbroken, run_stream_with_splits(params, splits))
+        split = run_stream_with_splits(params, splits)
+        assert_identical(unbroken, split)
+        dmc_pending += split.dmc_pending_splits
+    # at least one split must carry the DMC register through a resume
+    assert dmc_pending >= 1
 
 
 def test_mixed_scripts_stream_edge_splits():
@@ -133,6 +150,61 @@ def test_mixed_scripts_stream_edge_splits():
     assert_identical(unbroken, run_stream_with_splits(params, [0]))
     assert_identical(unbroken,
                      run_stream_with_splits(params, [HORIZON // 2]))
+
+
+
+def _dmc_pending_checkpoint(params, seed):
+    """A checkpoint document of a script run taken at a rest point where
+    the DMC has a wake pending (the first such of a few random splits)."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        run = StreamRun.fresh("script", params)
+        run.run(rng.randrange(1, 2 * 10**7))
+        if run.eng._dmc_kind is not None:
+            return json.loads(run.checkpoint().to_json())
+    raise AssertionError("no split point found with a DMC wake pending")
+
+
+def test_legacy_heap_wake_layout_resumes_identically():
+    """Documents written while the DMC's wakes lived on the heap hold
+    every pending wake in one heap-ordered list; they resume into the
+    register and finish identically."""
+    scripts = make_mixed_scripts(1)
+    unbroken = run_stream(MIXED_CFG, [list(s) for s in scripts])
+    params = script_params(MIXED_CFG, scripts, horizon_ps=HORIZON,
+                           telemetry=TELE_SPEC)
+    doc = _dmc_pending_checkpoint(params, seed=3)
+    wakes = doc["state"]["machine"]["wakes"]
+    assert sum(w[2] in DMC_WAKE_KINDS for w in wakes) == 1
+    heapq.heapify(wakes)
+    run = StreamRun.resume(Checkpoint.from_json(json.dumps(doc)))
+    assert run.eng._dmc_kind in DMC_WAKE_KINDS
+    assert all(w[2] not in DMC_WAKE_KINDS for w in run.eng._wakes)
+    caps = [_attach(run)]
+    run.run(HORIZON)
+    resumed = _finalize(run, caps)
+    # the resumed segment's records and final state match the whole run
+    assert resumed.records == unbroken.records
+    assert resumed.telemetry == unbroken.telemetry
+    assert resumed.final == unbroken.final
+
+
+@pytest.mark.parametrize("corruption", ["two-dmc-wakes", "idle-flag"])
+def test_inconsistent_dmc_wakes_are_refused(corruption):
+    scripts = make_mixed_scripts(1)
+    params = script_params(MIXED_CFG, scripts, horizon_ps=HORIZON,
+                           telemetry=TELE_SPEC)
+    doc = _dmc_pending_checkpoint(params, seed=3)
+    machine = doc["state"]["machine"]
+    if corruption == "two-dmc-wakes":
+        dmc_wake = next(w for w in machine["wakes"]
+                        if w[2] in DMC_WAKE_KINDS)
+        machine["wakes"].append([dmc_wake[0] + 1, machine["seq"] + 1,
+                                 dmc_wake[2], None])
+    else:
+        machine["dmc"]["waiting"] = True
+    with pytest.raises(CheckpointError, match="pending DMC wake"):
+        StreamRun.resume(Checkpoint.from_json(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -10,7 +10,7 @@ machine -- and everything observable must be byte-identical:
 * the per-command dispatch log (operation, flow, functional result,
   trace length, dispatch time),
 * the latency-record stream (delivery order *and* the picosecond
-  delivery times),
+  delivery times) and the per-command lifecycle stage records,
 * the buffer-policy counters and the full typed ``DropRecord`` stream,
 * the telemetry fold (``repro.telemetry``): histogram buckets and
   percentile summaries, occupancy series and peaks, throughput/drop
@@ -37,7 +37,7 @@ from repro.core.commands import CommandType
 from repro.core.mms import MMS, MmsConfig
 from repro.core.scheduler import DEFAULT_PORTS, PortConfig
 from repro.core.workloads import drive_port, overload_drain_ops
-from repro.engines import StreamMms
+from repro.engines import StreamMms, stream_supports
 from repro.policies import PolicySpec
 from repro.sim.clock import SEC
 from repro.telemetry import MmsTelemetry, TelemetrySpec
@@ -58,6 +58,7 @@ class Capture:
         self.traces = []    # ordered end_trace() payloads
         self.cmds = []      # (op, flow, result-repr, trace_len, time)
         self.records = []   # (time, fifo, exec, data, e2e)
+        self.stages = []    # stage_records() entries
         self.telemetry = ""  # serialized MmsTelemetry snapshot
         self.final = {}
 
@@ -128,6 +129,7 @@ def run_reference(config, scripts, drain_counters=None,
         tel.on_record(t, op, f, e, d, ee)
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
     cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
+    cap.stages = mms.stage_records(HORIZON)
     cap.snapshot_final(mms.pqm, mms.policy, sim.now,
                        mms.dqm.commands_executed)
     if drain_counters is not None:
@@ -155,6 +157,7 @@ def run_stream(config, scripts, drain_counters=None,
         tel.on_record(t, op, f, e, d, ee)
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
     cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
+    cap.stages = eng.stage_records(HORIZON)
     cap.snapshot_final(eng.pqm, eng.policy, eng.now,
                        eng.commands_executed)
     if drain_counters is not None:
@@ -166,6 +169,7 @@ def assert_identical(ref, fast):
     assert ref.cmds == fast.cmds
     assert ref.traces == fast.traces
     assert ref.records == fast.records
+    assert ref.stages == fast.stages
     assert ref.telemetry == fast.telemetry
     assert ref.final == fast.final
 
@@ -280,16 +284,34 @@ def random_ports(seed):
                  for i in range(rng.randint(1, 6)))
 
 
-@pytest.mark.parametrize("seed,ports", [
-    *(pytest.param(seed, DEFAULT_PORTS, id=str(seed))
+#: Configs where a DQM handoff can land on a DMC wake scheduled for the
+#: same instant, so only the wakes' sequence numbers order them, with
+#: the script seeds each replays.  On the serialized data path the
+#: handoff is scheduled a whole execution ahead, before the DMC's wake;
+#: seeds 2, 23 and 74 are ones where serving the DMC first on that
+#: time tie changes the DMC's pick.  At 50 MHz the 2-period handoff
+#: equals the 40 ns DDR access cycle, and a transfer can finish before
+#: its command's execution does.
+TIE_CONFIGS = {
+    "serialized": ({"overlap_data": False}, (2, 23, 74)),
+    "clock50": ({"clock_mhz": 50}, (1, 7, 2005)),
+}
+
+
+@pytest.mark.parametrize("seed,ports,overrides", [
+    *(pytest.param(seed, DEFAULT_PORTS, {}, id=str(seed))
       for seed in (1, 7, 2005)),
-    *(pytest.param(seed, random_ports(seed), id=f"ports{seed}")
+    *(pytest.param(seed, random_ports(seed), {}, id=f"ports{seed}")
       for seed in range(24)),
+    *(pytest.param(seed, DEFAULT_PORTS, overrides, id=f"{name}-{seed}")
+      for name, (overrides, seeds) in TIE_CONFIGS.items()
+      for seed in seeds),
 ])
-def test_mixed_op_streams_identical(seed, ports):
+def test_mixed_op_streams_identical(seed, ports, overrides):
     config = MmsConfig(num_flows=max(16, 3 * len(ports)),
                        num_segments=4096, num_descriptors=2048,
-                       ports=ports)
+                       ports=ports, **overrides)
+    assert stream_supports(config) is None
     scripts = make_mixed_scripts(seed, num_ports=len(ports))
     assert_identical(run_reference(config, scripts),
                      run_stream(config, scripts))

@@ -142,3 +142,28 @@ def test_run_resumes_across_horizons_like_the_kernel():
     split.run(10**9)
     assert split.commands_executed == one.commands_executed
     assert split.latency_records(10**9) == one.latency_records(10**9)
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+def test_dmc_wakes_never_enter_the_heap(monkeypatch, overlap):
+    """The DMC's one pending wake lives in its register: a Table 5 load
+    pushes no DMC-kind wake onto the heap, yet the register serves every
+    data transfer (the run still matches the kernel)."""
+    import heapq
+
+    from repro.engines import stream
+
+    kinds = set()
+
+    def recording_push(heap, item):
+        kinds.add(item[2])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(stream, "heappush", recording_push)
+    cfg = dataclasses.replace(CFG, overlap_data=overlap)
+    kw = dict(num_volleys=120, config=cfg, warmup_volleys=20,
+              active_flows=128)
+    fast = run_load(4.0, engine="fast", **kw)
+    assert kinds and not kinds & set(stream.DMC_WAKE_KINDS)
+    assert fast.data_cycles > 0
+    assert same_result(fast, run_load(4.0, engine="reference", **kw))
