@@ -8,26 +8,41 @@ hundreds of thousands of accesses per cell, and at that volume the
 allocation and call overhead dominates the arithmetic.
 
 This module advances the *entire* bank state machine per scheduling
-decision in plain local-variable loops: bank release slots live in one
-list, the reordering scheduler's bounded issue history in a short list
-of ``(bank, slot)`` pairs, and the uniform random bank draws come
-straight from ``Random._randbelow`` -- the exact primitive
-``Random.randrange(n)`` resolves to, so the consumed bit stream (and
-hence every simulated value) is identical to the generator-based
-patterns.  No ``Access`` objects, no DES processes, no per-access method
-dispatch.
+decision in plain local-variable loops, with three shortcuts that leave
+every simulated value unchanged:
+
+* **O(1) history check.**  Each bank keeps its release slot
+  (``bank_free``) and the issue index of its latest issue
+  (``last_idx``).  Both are written only at that latest issue, which has
+  the largest slot of any of the bank's entries in the reordering
+  scheduler's bounded history -- so "some remembered issue to this bank
+  is still busy" is exactly "the latest issue is inside the history
+  window and still busy".
+* **Idle-slot skip.**  When every port head addresses a bank the history
+  believes busy, nothing changes until the earliest of those banks is
+  released; the scheduler jumps straight there and books the gap as
+  no-operation (bank stall) slots, instead of one loop turn per slot.
+* **Bulk bank draws.**  :func:`bank_draws` yields the exact stream of
+  ``rng.randrange(num_banks)`` results from bulk 32-bit Mersenne words
+  and leaves ``rng`` in the state single calls would.
+
+No ``Access`` objects, no DES processes, no per-access method dispatch.
 
 Equivalence is not aspirational: ``tests/mem/test_fastpath.py`` asserts
 field-for-field equal :class:`~repro.mem.sched.ScheduleResult` outputs
-against the reference engine across bank counts, seeds, history depths
-and both ablation flags, and the benchmark harness re-checks the Table 1
-values whenever it records a speedup.
+and the same final RNG state against the reference engine across bank
+counts, seeds, history depths, timings and both ablation flags, and the
+benchmark harness re-checks the Table 1 values whenever it records a
+speedup.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+import sys
+from array import array
+from itertools import chain, cycle
+from typing import Iterator, List, Tuple
 
 from repro.mem.timing import DdrTiming
 
@@ -39,18 +54,57 @@ from repro.mem import sched as _sched
 #: footnote 3): net-write, net-read, cpu-write, cpu-read.
 _PAPER_PORT_IS_WRITE: Tuple[bool, ...] = (True, False, True, False)
 
+#: Most Mersenne words one :func:`bank_draws` round takes; bounds the
+#: round's word array and draw list (a whole-run draw list costs
+#: megabytes at full budget).
+_WORDS_PER_ROUND = 4096
+
+#: ``array`` typecode of an unsigned 32-bit word on this platform.
+_WORD_TYPECODE = next(t for t in "IL" if array(t).itemsize == 4)
+
+
+def bank_draws(rng: random.Random, num_banks: int,
+               count: int) -> Iterator[List[int]]:
+    """Yield lists holding ``count`` draws of ``rng.randrange(num_banks)``.
+
+    For ``k = num_banks.bit_length() <= 32``, ``randrange`` rejection
+    samples ``getrandbits(k)``: the top ``k`` bits of one 32-bit Mersenne
+    word, redrawn while ``>= num_banks``.  ``getrandbits(32 * m)`` returns
+    ``m`` such words, least significant first, so each round keeps
+    ``word >> (32 - k)`` for every word below ``num_banks << (32 - k)``.
+    A word gives at most one draw and a round takes no more words than
+    draws still owed, so no round overshoots: ``rng`` ends exactly where
+    ``count`` single calls leave it.
+    """
+    shift = 32 - num_banks.bit_length()
+    limit = num_banks << shift
+    need = count
+    while need > 0:
+        m = need if need < _WORDS_PER_ROUND else _WORDS_PER_ROUND
+        words = array(_WORD_TYPECODE,
+                      rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        drawn = [w >> shift for w in words if w < limit]
+        need -= len(drawn)
+        yield drawn
+
 
 def fast_serializing(num_banks: int, num_accesses: int,
                      rng: random.Random,
                      timing: DdrTiming = DdrTiming(),
                      model_rw_turnaround: bool = True) -> "_sched.ScheduleResult":
     """Batched round-robin serializing scheduler (reference:
-    :func:`repro.mem.sched.run_serializing` over the paper's patterns)."""
-    randbelow = rng._randbelow  # identical bit stream to randrange(n)
+    :func:`repro.mem.sched.run_serializing` over the paper's patterns).
+
+    Consumes exactly ``num_accesses`` bank draws from ``rng``.
+    """
+    _sched.check_cell_args(num_banks, num_accesses)
     busy = timing.bank_busy_cycles
     war = timing.write_after_read_penalty_cycles
     is_write = _PAPER_PORT_IS_WRITE
     nports = len(is_write)
+    draws = chain.from_iterable(bank_draws(rng, num_banks, num_accesses))
     bank_free = [0] * num_banks
     per_port = [0] * nports
     bank_stalls = 0
@@ -58,9 +112,8 @@ def fast_serializing(num_banks: int, num_accesses: int,
     next_free = 0
     last_slot = -1
     last_was_read = False
-    for i in range(num_accesses):
-        write = is_write[i % nports]
-        bank = randbelow(num_banks)
+    for port, bank in zip(cycle(range(nports)), draws):
+        write = is_write[port]
         bf = bank_free[bank]
         bank_wait = bf - next_free
         if bank_wait < 0:
@@ -76,7 +129,7 @@ def fast_serializing(num_banks: int, num_accesses: int,
             turnaround_stalls += total_wait - bank_wait
         bank_free[bank] = slot + busy
         last_was_read = not write
-        per_port[i % nports] += 1
+        per_port[port] += 1
         last_slot = slot
         next_free = slot + 1
     elapsed = last_slot + 1 if last_slot >= 0 else 0
@@ -100,22 +153,32 @@ def fast_reordering(num_banks: int, num_accesses: int,
     """Batched reordering scheduler (reference:
     :func:`repro.mem.sched.run_reordering` over the paper's patterns).
 
-    The bounded issue history is a short list of ``(bank, slot)`` pairs
-    scanned inline -- at the paper's depth of 3 that is at most twelve
-    integer compares per access cycle, replacing a set comprehension
-    over dataclass records plus a ``sorted`` round-robin pick.
+    A head's bank is believed busy iff ``bank_free[b] > slot`` and its
+    latest issue index ``last_idx[b]`` is one of the last
+    ``history_depth`` issues -- one compare pair per head, whatever the
+    depth (depth 0 never matches).  When no head is eligible the
+    scheduler skips to the earliest release among the heads' banks,
+    found in the same scan.  Consumes exactly ``num_accesses + 4`` bank
+    draws from ``rng`` (the four initial heads, then one refill per
+    issue).
     """
+    _sched.check_cell_args(num_banks, num_accesses)
     if history_depth < 0:
         raise ValueError(f"history_depth must be >= 0, got {history_depth}")
-    randbelow = rng._randbelow
     busy = timing.bank_busy_cycles
     war = timing.write_after_read_penalty_cycles
     is_write = _PAPER_PORT_IS_WRITE
     n = len(is_write)
-    heads: List[int] = [randbelow(num_banks) for _ in range(n)]
+    next_draw = chain.from_iterable(
+        bank_draws(rng, num_banks, num_accesses + n)).__next__
+    heads: List[int] = [next_draw() for _ in range(n)]
     bank_free = [0] * num_banks
+    last_idx = [-1] * num_banks  # issue index of the bank's latest issue
     per_port = [0] * n
-    history: List[Tuple[int, int]] = []  # (bank, issue slot), newest last
+    # after[p]: round-robin scan order starting just after port p
+    after = [tuple((p + 1 + off) % n for off in range(n)) for p in range(n)]
+    order = after[-1]
+    group_reads = prefer_same_type and model_rw_turnaround
 
     issued = 0
     slot = 0
@@ -123,48 +186,47 @@ def fast_reordering(num_banks: int, num_accesses: int,
     bank_stalls = 0
     turnaround_stalls = 0
     history_miss = 0
-    rr_next = 0
     last_was_read = False
-    have_last = False
     last_issue_slot = -1
 
     while issued < num_accesses:
         # --- eligibility: banks the (bounded) history believes busy -----
+        oldest = issued - history_depth  # oldest issue index remembered
+        wake = slot + busy  # above every release: each issue is < slot
         choice = -1
-        if prefer_same_type and model_rw_turnaround and have_last and last_was_read:
+        if group_reads and last_was_read:
             # ablation A4: among eligible heads prefer reads (no
-            # write-after-read turnaround), round-robin from rr_next
+            # write-after-read turnaround), in round-robin order
             fallback = -1
-            for off in range(n):
-                p = (rr_next + off) % n
+            for p in order:
                 bank = heads[p]
-                for hb, hs in history:
-                    if hb == bank and hs + busy > slot:
-                        break
-                else:
-                    if not is_write[p]:
-                        choice = p
-                        break
-                    if fallback < 0:
-                        fallback = p
+                bf = bank_free[bank]
+                if bf > slot and last_idx[bank] >= oldest:
+                    if bf < wake:
+                        wake = bf
+                elif not is_write[p]:
+                    choice = p
+                    break
+                elif fallback < 0:
+                    fallback = p
             if choice < 0:
                 choice = fallback
         else:
-            for off in range(n):
-                p = (rr_next + off) % n
+            for p in order:
                 bank = heads[p]
-                for hb, hs in history:
-                    if hb == bank and hs + busy > slot:
-                        break
+                bf = bank_free[bank]
+                if bf > slot and last_idx[bank] >= oldest:
+                    if bf < wake:
+                        wake = bf
                 else:
                     choice = p
                     break
         if choice < 0:
             # "the scheduler sends a no-operation to the memory, losing
-            # an access cycle"
-            nop_slots += 1
-            bank_stalls += 1
-            slot += 1
+            # an access cycle" -- every cycle until a head's bank frees
+            nop_slots += wake - slot
+            bank_stalls += wake - slot
+            slot = wake
             continue
 
         bank = heads[choice]
@@ -173,7 +235,7 @@ def fast_reordering(num_banks: int, num_accesses: int,
         # --- earliest legal issue slot (bank reuse + turnaround) --------
         bf = bank_free[bank]
         issue_slot = bf if bf > slot else slot
-        if model_rw_turnaround and write and last_was_read and have_last:
+        if model_rw_turnaround and write and last_was_read:
             turnaround_free = last_issue_slot + 1 + war
             if turnaround_free > issue_slot:
                 issue_slot = turnaround_free
@@ -187,15 +249,11 @@ def fast_reordering(num_banks: int, num_accesses: int,
             slot = issue_slot
 
         bank_free[bank] = slot + busy
-        if history_depth > 0:
-            history.append((bank, slot))
-            if len(history) > history_depth:
-                del history[0]
+        last_idx[bank] = issued
         per_port[choice] += 1
-        heads[choice] = randbelow(num_banks)
-        rr_next = (choice + 1) % n
+        heads[choice] = next_draw()
+        order = after[choice]
         last_was_read = not write
-        have_last = True
         last_issue_slot = slot
         issued += 1
         slot += 1

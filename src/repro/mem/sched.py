@@ -240,6 +240,21 @@ def _round_robin_pick(eligible: List[int], rr_next: int, heads: List[Access],
     return ordered[0]
 
 
+def check_cell_args(num_banks: int, num_accesses: int) -> None:
+    """Reject a Table 1 cell no engine can run.
+
+    ``num_banks`` must fit one 32-bit Mersenne word (the batched engine
+    draws each bank from one word) and ``num_accesses`` must not be
+    negative.
+    """
+    if num_banks < 1:
+        raise ValueError(f"num_banks must be >= 1, got {num_banks}")
+    if num_banks >= 1 << 32:
+        raise ValueError(f"num_banks must be < 2**32, got {num_banks}")
+    if num_accesses < 0:
+        raise ValueError(f"num_accesses must be >= 0, got {num_accesses}")
+
+
 def simulate_throughput_loss(num_banks: int, optimized: bool,
                              model_rw_turnaround: bool,
                              num_accesses: int = 200_000,
@@ -259,8 +274,10 @@ def simulate_throughput_loss(num_banks: int, optimized: bool,
     walks the generator patterns through :class:`DdrModel` one access at
     a time.  Both produce bit-identical results (asserted by
     ``tests/mem/test_fastpath.py``); the reference engine remains the
-    executable specification.
+    executable specification.  Both engines reject the same bad inputs
+    (:func:`check_cell_args`) before either is picked.
     """
+    check_cell_args(num_banks, num_accesses)
     if engine == "fast":
         from repro.mem.fastpath import fast_throughput_loss
         return fast_throughput_loss(
