@@ -1,21 +1,12 @@
-"""Benchmarks F1/F2/H1: the architecture figures (structural builds) and
-the cross-cutting headline claims."""
+"""Benchmarks F2/H1: the Figure 2 MMS build and the cross-cutting
+headline claims."""
 
 import pytest
 
 from benchmarks.bench_common import emit
 from repro.core import MMS
-from repro.npu import CopyStrategy, ReferenceNpu
 from repro.scenarios import Runner, render
 
-
-def test_bench_figure1_platform_build(benchmark):
-    """Construct the full Figure 1 platform (all blocks wired)."""
-    npu = benchmark.pedantic(ReferenceNpu,
-                             kwargs={"strategy": CopyStrategy.LINE},
-                             iterations=1, rounds=5)
-    emit(render(Runner().run("figure1")))
-    assert npu.queues.num_queues == 16
 
 def test_bench_figure2_mms_build(benchmark):
     """Construct the full Figure 2 MMS at paper scale (32 K flows)."""

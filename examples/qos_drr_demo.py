@@ -4,7 +4,8 @@
 Three tenants share an egress link: a voice flow (small packets), a
 video flow (medium), and a bulk flow (jumbo).  Strict priority starves
 bulk entirely; deficit round robin shares bytes by weight.  Both
-schedulers drive ordinary MMS dequeue commands underneath.
+schedulers dequeue through the MMS's flow queue manager, the state the
+MMS dequeue command acts on.
 
 Run:  python examples/qos_drr_demo.py
 """
@@ -41,7 +42,7 @@ def main() -> None:
     budget = 48  # packets the egress link can send in our window
 
     print(f"\nstrict priority (voice > video > bulk), {budget} packets:")
-    sp = StrictPriorityScheduler(mms_sp, flows=[VOICE, VIDEO, BULK])
+    sp = StrictPriorityScheduler(mms_sp.pqm, flows=[VOICE, VIDEO, BULK])
     sp_bytes = {f: 0 for f in (VOICE, VIDEO, BULK)}
     for _ in range(budget):
         pkt = sp.next_packet()
@@ -53,7 +54,7 @@ def main() -> None:
 
     print(f"\ndeficit round robin (weights voice:video:bulk = 2:1:1), "
           f"{budget} packets:")
-    drr = DeficitRoundRobin(mms_drr, flows=[VOICE, VIDEO, BULK],
+    drr = DeficitRoundRobin(mms_drr.pqm, flows=[VOICE, VIDEO, BULK],
                             weights=[2.0, 1.0, 1.0], quantum_bytes=1024)
     shares = drr.drain_fair_shares(budget)
     for flow, count in shares.items():
@@ -62,7 +63,7 @@ def main() -> None:
     assert sp_bytes[BULK] == 0, "strict priority should starve bulk here"
     assert shares[BULK] > 0, "DRR must serve bulk its share"
     print("\nstrict priority starved bulk; DRR gave every tenant "
-          "its weighted byte share -- same MMS commands underneath.")
+          "its weighted byte share -- same MMS queues underneath.")
 
 
 if __name__ == "__main__":

@@ -10,18 +10,16 @@ Subpackages
     Memory substrate: DDR bank-timing model, ZBT SRAM, the Table 1
     access schedulers, DES-integrated controllers.
 ``repro.net``
-    Packets, flows, Ethernet/ATM framing arithmetic, traffic generators.
+    Packets and Ethernet line-rate arithmetic.
 ``repro.queueing``
     The paper's queue data structures over traced pointer memory.
 ``repro.ixp``
     IXP1200 software-queue-management model (Table 2).
 ``repro.npu``
-    The Figure 1 reference NPU and its Table 3 cost model.
+    The Figure 1 reference NPU drawing and its Table 3 cost model.
 ``repro.core``
     The contribution: the MMS hardware queue manager (Figure 2,
-    Tables 4 and 5).
-``repro.apps``
-    Section 6 applications expressed against the MMS command API.
+    Tables 4 and 5), with QoS egress schedulers over its flow queues.
 ``repro.analysis``
     Experiment drivers regenerating every published table and figure.
 
@@ -44,6 +42,5 @@ __all__ = [
     "ixp",
     "npu",
     "core",
-    "apps",
     "analysis",
 ]

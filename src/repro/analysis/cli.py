@@ -250,10 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ckpt.add_argument("--resume-from", metavar="PATH", default=None,
                         help="continue from a checkpoint file instead of "
                              "starting fresh")
-    p_ckpt.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine (fast = exact stream "
-                             "snapshots, reference = replay-anchored "
-                             "kernel checkpoints)")
     p_ckpt.add_argument("--seed", type=int, default=None,
                         help="policy RNG seed")
     p_ckpt.add_argument("--fast", action="store_true",
@@ -576,18 +572,12 @@ def _checkpoint_build(args: argparse.Namespace):
     stem."""
     import dataclasses as _dc
 
-    from repro.checkpoint import (
-        Checkpoint,
-        KernelRun,
-        StreamRun,
-        overload_params,
-        resume_run,
-    )
+    from repro.checkpoint import Checkpoint, StreamRun, overload_params
     from repro.policies.harness import OVERLOAD_MMS_CFG
 
     if args.resume_from is not None:
         ckpt = Checkpoint.load(args.resume_from)
-        run = resume_run(ckpt)
+        run = StreamRun.resume(ckpt)
         stem = ckpt.params.get("scenario") or ckpt.workload
         return run, stem
 
@@ -595,8 +585,7 @@ def _checkpoint_build(args: argparse.Namespace):
         raise SystemExit("checkpoint-run needs a scenario name or "
                          "--resume-from PATH")
     spec = all_scenarios()[args.scenario].spec.with_options(
-        engine=args.engine, seed=args.seed,
-        budget="fast" if args.fast else None)
+        seed=args.seed, budget="fast" if args.fast else None)
     cfg = _dc.replace(spec.mms or OVERLOAD_MMS_CFG, policy=spec.policy,
                       policy_seed=spec.seed, policy_records=False)
     params = overload_params(
@@ -604,14 +593,9 @@ def _checkpoint_build(args: argparse.Namespace):
         num_arrivals=spec.pick(spec.traffic.num_commands),
         active_flows=spec.traffic.active_flows,
         telemetry=spec.telemetry,
-        trace=spec.trace,
-        engine_label=spec.effective_engine or "fast")
+        trace=spec.trace)
     params["scenario"] = spec.name
-    if spec.effective_engine == "reference":
-        run = KernelRun.fresh("overload", params)
-    else:
-        run = StreamRun.fresh("overload", params)
-    return run, spec.name
+    return StreamRun.fresh("overload", params), spec.name
 
 
 def _cmd_checkpoint_run(args: argparse.Namespace) -> int:
@@ -641,9 +625,8 @@ def _cmd_checkpoint_run(args: argparse.Namespace) -> int:
 
     counters = result.counters() if hasattr(result, "counters") \
         else dict(result)
-    kind = "stream" if type(run).__name__ == "StreamRun" else "kernel"
     if not args.quiet:
-        print(f"{stem}: finished at {run.now} ps ({kind} engine, "
+        print(f"{stem}: finished at {run.now} ps (stream engine, "
               f"{len(saved)} checkpoint(s))")
         for key, value in counters.items():
             print(f"  {key:<20} {value}")
@@ -651,7 +634,7 @@ def _cmd_checkpoint_run(args: argparse.Namespace) -> int:
         _write_document(args.json_path, {
             "schema": DOCUMENT_SCHEMA,
             "scenario": stem,
-            "engine": kind,
+            "engine": "stream",
             "result": counters,
             "checkpoints": saved,
         })

@@ -1,22 +1,17 @@
 """Checkpoint/resume and fault tolerance for the repro runs.
 
-Two execution paths, two checkpoint disciplines, one resume-identity
-contract:
-
-* :class:`StreamRun` (:mod:`.runs`) drives the DES-free command-stream
-  engine with **exact** snapshots -- every scalar actor, the wake heap,
-  the policy books and the telemetry collectors serialize precisely,
-  and feeders resume by observation-tape replay (:mod:`.feeders`).
-* :class:`KernelRun` (:mod:`.kernel_runs`) drives the DES kernel
-  with **replay-anchored** snapshots -- rebuild, deterministic
-  replay to the anchor, then fingerprint + event-schedule verification.
-
-Either way, a run split at any rest point and resumed from the JSON
+:class:`StreamRun` (:mod:`.runs`) drives the DES-free command-stream
+engine with **exact** snapshots -- every scalar actor, the wake heap,
+the policy books and the telemetry collectors serialize precisely,
+and feeders resume by observation-tape replay (:mod:`.feeders`).  A
+run split at any rest point and resumed from the JSON
 :class:`Checkpoint` envelope produces byte-identical traces, drop
 records, telemetry and results (fuzzed over random split points by
-``tests/checkpoint/``).  The checkpoint machinery is structurally
-absent from plain harness runs: only these drivers wrap feeders, the
-same gating discipline as telemetry probes.
+``tests/checkpoint/``).  The DES kernel is the unbroken reference the
+stream machine is checked against, so it takes no checkpoints.  The
+checkpoint machinery is structurally absent from plain harness runs:
+only this driver wraps feeders, the same gating discipline as
+telemetry probes.
 
 Around the checkpoints sits the sweep robustness layer: atomic
 artifact persistence (:mod:`.atomic`), the fault-tolerant worker pool
@@ -37,12 +32,6 @@ from repro.checkpoint.feeders import (
     CounterView,
     Tape,
     TapeMismatchError,
-)
-from repro.checkpoint.kernel_runs import (
-    KERNEL_WORKLOADS,
-    KernelRun,
-    functional_digest,
-    resume_run,
 )
 from repro.checkpoint.pool import (
     ERROR_KEY,
@@ -82,8 +71,6 @@ __all__ = [
     "CountedFeeder",
     "CounterView",
     "ERROR_KEY",
-    "KERNEL_WORKLOADS",
-    "KernelRun",
     "PoolOutcome",
     "STREAM_WORKLOADS",
     "StreamRun",
@@ -92,13 +79,11 @@ __all__ = [
     "TaskFailure",
     "config_from_dict",
     "config_to_dict",
-    "functional_digest",
     "load_params",
     "maybe_fault",
     "overload_params",
     "read_json",
     "restore_stream",
-    "resume_run",
     "run_tasks",
     "run_with_checkpoints",
     "saturation_params",

@@ -33,7 +33,7 @@ needs nothing but the file.
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.checkpoint.feeders import CountedFeeder, CounterView, Tape
@@ -108,8 +108,7 @@ def saturation_params(config: MmsConfig, *, num_commands: int,
 def overload_params(config: MmsConfig, shape: str, *, num_arrivals: int,
                     active_flows: int,
                     telemetry: Optional[TelemetrySpec] = None,
-                    trace: Optional[TraceSpec] = None,
-                    engine_label: str = "fast") -> Dict[str, Any]:
+                    trace: Optional[TraceSpec] = None) -> Dict[str, Any]:
     """Params dict for an overload run.  ``config`` is the resolved
     build (policy spec, seed and record retention folded in, as
     :func:`repro.policies.harness.run_overload` does)."""
@@ -124,7 +123,6 @@ def overload_params(config: MmsConfig, shape: str, *, num_arrivals: int,
         "shape": shape,
         "num_arrivals": num_arrivals,
         "active_flows": active_flows,
-        "engine_label": engine_label,
     }
 
 
@@ -172,7 +170,7 @@ def _decode_op(op: Any) -> Any:
 
 
 def _script_feeder(ops: Sequence[Any],
-                   counters: Union[Dict[str, int], CounterView],
+                   counters: CounterView,
                    mark_done: bool) -> Iterator[Any]:
     """A decoded script as a feeder generator, with the overload
     feeders' trailing done-handshake when requested."""
@@ -204,54 +202,6 @@ def _build_probes(params: Dict[str, Any]) -> Tuple[
     elif children:
         probe = ProbeChain(children)
     return telemetry, tracer, probe
-
-
-def workload_horizon(workload: str, params: Dict[str, Any],
-                     eng: harnesses.Machine) -> int:
-    """A checkpointable workload's run horizon (the harness formulas;
-    ``script`` runs carry theirs in the params)."""
-    p = params
-    if workload == "load":
-        return harnesses.load_horizon_ps(
-            p["num_volleys"],
-            harnesses.load_volley_period_ps(p["offered_gbps"]))
-    if workload == "saturation":
-        return harnesses.SATURATION_HORIZON_PS
-    if workload == "overload":
-        drain_period, enq_period = harnesses.overload_pacing_ps(eng.clock)
-        return harnesses.overload_horizon_ps(
-            p["num_arrivals"], enq_period, eng.config.num_segments,
-            drain_period)
-    horizon: int = p["horizon_ps"]
-    return horizon
-
-
-def finish_result(workload: str, params: Dict[str, Any],
-                  eng: harnesses.Machine, store: Dict[str, int],
-                  probe: Optional[Probe], horizon: int,
-                  engine_label: str) -> Any:
-    """Assemble a finished run's result with the harness assembly
-    functions -- the one finish of both checkpoint drivers (probe
-    records are replayed here, as in the plain harnesses).
-    ``engine_label`` is the overload label for params that predate
-    it."""
-    p = params
-    if workload == "load":
-        return harnesses.assemble_load_result(
-            eng, probe, horizon, p["warmup_volleys"], p["offered_gbps"])
-    if workload == "saturation":
-        return harnesses.assemble_saturation_result(eng, probe, horizon)
-    if workload == "overload":
-        return harnesses.assemble_overload_result(
-            eng, eng.config, p["shape"], store, horizon, probe=probe,
-            engine_label=p.get("engine_label", engine_label))
-    if probe is not None:
-        harnesses.replay_records(eng, probe, horizon)
-    return {
-        "commands_executed": eng.commands_executed,
-        "elapsed_ps": eng.now,
-        "counters": dict(store),
-    }
 
 
 # ======================================================== the driver
@@ -293,9 +243,6 @@ class StreamRun:
     @classmethod
     def resume(cls, ckpt: Checkpoint) -> "StreamRun":
         """Continue the workload from a checkpoint."""
-        if ckpt.engine != "stream":
-            raise CheckpointError(
-                f"StreamRun cannot resume a {ckpt.engine!r} checkpoint")
         return cls(ckpt.workload, dict(ckpt.params),
                    _resume_state=ckpt.state)
 
@@ -421,8 +368,22 @@ class StreamRun:
     @property
     def horizon(self) -> int:
         """The workload's run horizon (the same formula the plain
-        harness uses)."""
-        return workload_horizon(self.workload, self.params, self.eng)
+        harness uses; ``script`` runs carry theirs in the params)."""
+        p = self.params
+        if self.workload == "load":
+            return harnesses.load_horizon_ps(
+                p["num_volleys"],
+                harnesses.load_volley_period_ps(p["offered_gbps"]))
+        if self.workload == "saturation":
+            return harnesses.SATURATION_HORIZON_PS
+        if self.workload == "overload":
+            drain_period, enq_period = harnesses.overload_pacing_ps(
+                self.eng.clock)
+            return harnesses.overload_horizon_ps(
+                p["num_arrivals"], enq_period, self.config.num_segments,
+                drain_period)
+        horizon: int = p["horizon_ps"]
+        return horizon
 
     def run(self, until_ps: int) -> None:
         """Advance the machine to ``until_ps`` (a rest point: safe to
@@ -448,11 +409,30 @@ class StreamRun:
 
     def finish(self) -> Any:
         """Run to the horizon and assemble the workload's result with
-        the exact harness arithmetic."""
+        the harness assembly functions (probe records are replayed
+        there, as in the plain harnesses).  Overload params written
+        when the DES kernel could checkpoint too may carry an
+        ``engine_label`` key; it is ignored."""
         horizon = self.horizon
-        self.eng.run(horizon)
-        return finish_result(self.workload, self.params, self.eng,
-                             self.store, self.probe, horizon, "fast")
+        eng, p, probe = self.eng, self.params, self.probe
+        eng.run(horizon)
+        if self.workload == "load":
+            return harnesses.assemble_load_result(
+                eng, probe, horizon, p["warmup_volleys"],
+                p["offered_gbps"])
+        if self.workload == "saturation":
+            return harnesses.assemble_saturation_result(eng, probe, horizon)
+        if self.workload == "overload":
+            return harnesses.assemble_overload_result(
+                eng, self.config, p["shape"], self.store, horizon,
+                probe=probe)
+        if probe is not None:
+            harnesses.replay_records(eng, probe, horizon)
+        return {
+            "commands_executed": eng.commands_executed,
+            "elapsed_ps": eng.now,
+            "counters": dict(self.store),
+        }
 
 
 def run_with_checkpoints(run: StreamRun, every_ps: int,

@@ -5,25 +5,14 @@ engine ``run()`` calls): which execution path produced it (``engine``),
 which workload it was running (``workload``), the simulated instant
 (``at_ps``), the immutable run parameters (``params`` -- enough to
 rebuild the machine and its feeders from scratch), and the mutable
-machine state (``state``).  The two execution paths fill ``state``
-differently:
-
-* ``engine="stream"`` -- an *exact* scalar snapshot of the
-  :class:`~repro.engines.stream.StreamMms` actors
-  (:mod:`repro.checkpoint.stream_state`): restore rebuilds the machine
-  without re-executing anything.
-* ``engine="kernel"`` -- a *replay-anchored* snapshot: generator
-  processes cannot be serialized, so the checkpoint stores the
-  serialized event schedule plus a functional-state fingerprint; resume
-  rebuilds the model, replays deterministically to ``at_ps`` and
-  verifies both before continuing (:mod:`repro.checkpoint.kernel_runs`).
-
-Either way the resume-identity contract is the same: the continued run
-is byte-identical to an unbroken one (asserted by
-``tests/checkpoint/``).  The payload follows the repo's schema
-discipline (``TELEMETRY_SCHEMA``, ``DOCUMENT_SCHEMA``): a version
-field plus a dependency-free validator returning human-readable
-problems.
+machine state (``state``): an *exact* scalar snapshot of the
+:class:`~repro.engines.stream.StreamMms` actors
+(:mod:`repro.checkpoint.stream_state`), so restore rebuilds the machine
+without re-executing anything.  The continued run is byte-identical
+to an unbroken one (asserted by ``tests/checkpoint/``).  The payload
+follows the repo's schema discipline (``TELEMETRY_SCHEMA``,
+``DOCUMENT_SCHEMA``): a version field plus a dependency-free validator
+returning human-readable problems.
 """
 
 from __future__ import annotations
@@ -42,8 +31,9 @@ from repro.trace.spans import TraceSpec
 #: Schema version of the serialized checkpoint payload.
 CHECKPOINT_SCHEMA = 1
 
-#: Execution paths a checkpoint can originate from.
-CHECKPOINT_ENGINES = ("stream", "kernel")
+#: Execution paths a checkpoint can originate from (the DES kernel is
+#: the unbroken reference and takes no checkpoints).
+CHECKPOINT_ENGINES = ("stream",)
 
 
 class CheckpointError(RuntimeError):

@@ -29,7 +29,6 @@ from repro.core.microcode import (
     TABLE4_CYCLES,
     table4_command_types,
 )
-from repro.core.latency import CommandLatency, LatencyBreakdown
 from repro.core.dmc import DataMemoryController
 from repro.core.dqm import DataQueueManager
 from repro.core.scheduler import InternalScheduler, PortConfig
@@ -45,8 +44,6 @@ __all__ = [
     "MICROCODE",
     "TABLE4_CYCLES",
     "table4_command_types",
-    "CommandLatency",
-    "LatencyBreakdown",
     "DataMemoryController",
     "DataQueueManager",
     "InternalScheduler",

@@ -11,7 +11,7 @@ every command's delay is decomposed into FIFO + execution + data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.core.commands import Command
 from repro.core.dmc import DataMemoryController
@@ -65,6 +65,25 @@ class MmsConfig:
             raise ValueError("num_flows and num_segments must be >= 1")
 
 
+def flow_queues(config: MmsConfig, now_fn: Callable[[], int],
+                policy: Optional[BufferPolicy] = None) -> PacketQueueManager:
+    """The functional flow queues of ``config``: a
+    :class:`PacketQueueManager` with its buffer-management policy.  An
+    explicit ``policy`` instance wins, else one is built from
+    ``config.policy`` sized to the segment buffer; its clock reads
+    ``now_fn``.  Every machine builds its queues here."""
+    if policy is None and config.policy is not None:
+        policy = make_policy(config.policy, capacity=config.num_segments,
+                             seed=config.policy_seed,
+                             keep_records=config.policy_records)
+    if policy is not None:
+        policy.now_fn = now_fn
+    return PacketQueueManager(num_flows=config.num_flows,
+                              num_segments=config.num_segments,
+                              num_descriptors=config.num_descriptors,
+                              policy=policy)
+
+
 class MMS:
     """The Memory Management System block."""
 
@@ -75,19 +94,9 @@ class MMS:
         self.config = config
         self.sim = sim or Simulator()
         self.clock = Clock(config.clock_mhz)
-        #: Buffer-management policy: an explicit instance wins, else one
-        #: is built from ``config.policy`` sized to the segment buffer.
-        if policy is None and config.policy is not None:
-            policy = make_policy(config.policy, capacity=config.num_segments,
-                                 seed=config.policy_seed,
-                                 keep_records=config.policy_records)
-        self.policy = policy
-        if self.policy is not None:
-            self.policy.now_fn = lambda: self.sim.now
-        self.pqm = PacketQueueManager(num_flows=config.num_flows,
-                                      num_segments=config.num_segments,
-                                      num_descriptors=config.num_descriptors,
-                                      policy=self.policy)
+        self.pqm = flow_queues(config, lambda: self.sim.now, policy)
+        #: Buffer-management policy (see :func:`flow_queues`).
+        self.policy = self.pqm.policy
         self.dmc = DataMemoryController(self.sim, self.clock,
                                         num_banks=config.num_banks,
                                         reorder_window=config.reorder_window,
@@ -140,9 +149,9 @@ class MMS:
 
     def apply(self, cmd: Command):
         """Zero-time functional application of a command (no simulated
-        clock, no FIFO/DMC).  The application models use this to express
-        their logic against the MMS command set; throughput questions go
-        through :meth:`submit` instead."""
+        clock, no FIFO/DMC): the command's effect on the flow queues,
+        for scripted walkthroughs such as ``examples/quickstart.py``.
+        Throughput questions go through :meth:`submit` instead."""
         result, _trace_len, _slot = self.dqm._dispatch(cmd)
         return result
 
@@ -238,8 +247,9 @@ class MmsLoadResult:
     fifo_cycles: float
     execution_cycles: float
     data_cycles: float
-    #: True mean submit-to-completion latency (see LatencyBreakdown);
-    #: equals the additive total only when pointer/data work serializes.
+    #: True mean submit-to-completion latency (completion = the later of
+    #: execution end and data-transfer end); equals the additive total
+    #: only when pointer/data work serializes.
     end_to_end_cycles: float = 0.0
     #: Engine knob the run used ("fast" = command-stream machine, or the
     #: DES kernel for configs it declines; "reference" = the DES kernel);

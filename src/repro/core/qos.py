@@ -6,13 +6,14 @@ This module supplies the two standard policies such a system would bolt
 onto the Out port:
 
 * :class:`StrictPriorityScheduler` -- classes served in fixed order
-  (what the 802.1p switch app uses),
+  (802.1p-style class scheduling),
 * :class:`DeficitRoundRobin` -- byte-fair weighted sharing across flows,
   charging each flow the actual bytes its dequeued segments carried.
 
-Both are pure *selection* policies: the dequeuing itself is ordinary MMS
-dequeue commands, so these compose with either the functional
-(:meth:`MMS.apply`) or the timed (:meth:`MMS.submit`) path.
+Both are pure *selection* policies over the functional queue manager
+(:class:`~repro.queueing.PacketQueueManager`, the state the MMS
+commands act on): they pick a flow and dequeue its head packet segment
+by segment, in zero simulated time.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.commands import Command, CommandType
-from repro.core.mms import MMS
-from repro.queueing.packet_queues import SegmentInfo
+from repro.queueing.packet_queues import PacketQueueManager, SegmentInfo
 
 
 @dataclass
@@ -37,11 +36,11 @@ class DequeuedPacket:
         return sum(s.length for s in self.segments)
 
 
-def _dequeue_packet(mms: MMS, flow: int) -> DequeuedPacket:
-    """Dequeue one whole packet from ``flow`` (functional path)."""
+def _dequeue_packet(pqm: PacketQueueManager, flow: int) -> DequeuedPacket:
+    """Dequeue one whole packet from ``flow``."""
     segments: List[SegmentInfo] = []
     while True:
-        info = mms.apply(Command(type=CommandType.DEQUEUE, flow=flow))
+        info, _trace = pqm.dequeue_segment(flow)
         segments.append(info)
         if info.eop:
             return DequeuedPacket(flow=flow, segments=segments)
@@ -53,19 +52,19 @@ class StrictPriorityScheduler:
     ``flows`` are given from highest to lowest priority.
     """
 
-    def __init__(self, mms: MMS, flows: Sequence[int]) -> None:
+    def __init__(self, pqm: PacketQueueManager, flows: Sequence[int]) -> None:
         if not flows:
             raise ValueError("flows must be non-empty")
         if len(set(flows)) != len(flows):
             raise ValueError("flows must be distinct")
-        self.mms = mms
+        self.pqm = pqm
         self.flows = list(flows)
         self.served: Dict[int, int] = {f: 0 for f in flows}
 
     def next_packet(self) -> Optional[DequeuedPacket]:
         for flow in self.flows:
-            if self.mms.pqm.queued_packets(flow) > 0:
-                pkt = _dequeue_packet(self.mms, flow)
+            if self.pqm.queued_packets(flow) > 0:
+                pkt = _dequeue_packet(self.pqm, flow)
                 self.served[flow] += 1
                 return pkt
         return None
@@ -79,7 +78,7 @@ class DeficitRoundRobin:
     Unused deficit carries over only while the flow stays backlogged.
     """
 
-    def __init__(self, mms: MMS, flows: Sequence[int],
+    def __init__(self, pqm: PacketQueueManager, flows: Sequence[int],
                  weights: Optional[Sequence[float]] = None,
                  quantum_bytes: int = 512) -> None:
         if not flows:
@@ -93,7 +92,7 @@ class DeficitRoundRobin:
             raise ValueError("weights must match flows")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        self.mms = mms
+        self.pqm = pqm
         self.flows = list(flows)
         self.weights = dict(zip(self.flows, weights))
         self.quantum_bytes = quantum_bytes
@@ -114,14 +113,14 @@ class DeficitRoundRobin:
         # a flow needing k quanta is served after k arrivals; bound the
         # scan generously (largest packet / smallest per-round credit)
         min_credit = self.quantum_bytes * min(self.weights.values())
-        max_packet = self.mms.config.num_segments * 64
+        max_packet = self.pqm.num_segments * 64
         max_scans = n * (int(max_packet / min_credit) + 2)
         for _ in range(max_scans):
             flow = self.flows[self._cursor]
-            if self.mms.pqm.queued_packets(flow) == 0:
+            if self.pqm.queued_packets(flow) == 0:
                 self._deficit[flow] = 0.0  # no carryover while idle
                 self._advance()
-                if not any(self.mms.pqm.queued_packets(f) for f in self.flows):
+                if not any(self.pqm.queued_packets(f) for f in self.flows):
                     return None
                 continue
             if self._fresh_arrival:
@@ -129,10 +128,10 @@ class DeficitRoundRobin:
                 self._fresh_arrival = False
             head_bytes = self._head_packet_bytes(flow)
             if self._deficit[flow] >= head_bytes:
-                pkt = _dequeue_packet(self.mms, flow)
+                pkt = _dequeue_packet(self.pqm, flow)
                 self._deficit[flow] -= pkt.length_bytes
                 self.bytes_served[flow] += pkt.length_bytes
-                if self.mms.pqm.queued_packets(flow) == 0:
+                if self.pqm.queued_packets(flow) == 0:
                     self._deficit[flow] = 0.0
                     self._advance()
                 return pkt
@@ -153,8 +152,8 @@ class DeficitRoundRobin:
     def _head_packet_bytes(self, flow: int) -> int:
         """Byte size of the flow's head packet (hardware keeps this in
         the packet descriptor; the model reads the segment chain)."""
-        packets = self.mms.pqm.walk_packets(flow)
-        return sum(self.mms.pqm.segment_info(s).length for s in packets[0])
+        packets = self.pqm.walk_packets(flow)
+        return sum(self.pqm.segment_info(s).length for s in packets[0])
 
     def _advance(self) -> None:
         self._cursor = (self._cursor + 1) % len(self.flows)

@@ -115,9 +115,9 @@ def fold_means(records) -> Tuple[int, float, float, float, float]:
     """``(count, fifo, execution, data, end_to_end)`` means of latency
     records, folded in one pass with the Welford mean step of
     :class:`~repro.sim.stats.RunningStats` (``mean += (x - mean) / k``),
-    so the means are bit-identical to feeding each column through a
-    :class:`~repro.core.latency.LatencyBreakdown`.  An empty list folds
-    to zeros, as an empty recorder reads."""
+    so the means are bit-identical to feeding each column through its
+    own :class:`~repro.sim.stats.RunningStats`.  An empty list folds to
+    zeros, as an empty accumulator reads."""
     k = 0
     fifo = execution = data = e2e = 0.0
     for rec in records:

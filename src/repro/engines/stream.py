@@ -55,12 +55,11 @@ from repro.core.dqm import (
     command_timing_table,
     dispatch_command,
 )
-from repro.core.mms import MmsConfig
+from repro.core.mms import MmsConfig, flow_queues
 from repro.core.workloads import FeederOp
 from repro.mem.timing import DdrTiming
-from repro.policies import BufferPolicy, make_policy
+from repro.policies import BufferPolicy
 from repro.policies.base import DroppedSegment
-from repro.queueing import PacketQueueManager
 from repro.sim.clock import NS, Clock
 
 #: A feeder: generator of micro-ops (see
@@ -136,17 +135,8 @@ class StreamMms:
                              f"{reason}")
         self.config = config
         self.clock = Clock(config.clock_mhz)
-        if policy is None and config.policy is not None:
-            policy = make_policy(config.policy, capacity=config.num_segments,
-                                 seed=config.policy_seed,
-                                 keep_records=config.policy_records)
-        self.policy = policy
-        if self.policy is not None:
-            self.policy.now_fn = lambda: self.now
-        self.pqm = PacketQueueManager(num_flows=config.num_flows,
-                                      num_segments=config.num_segments,
-                                      num_descriptors=config.num_descriptors,
-                                      policy=self.policy)
+        self.pqm = flow_queues(config, lambda: self.now, policy)
+        self.policy = self.pqm.policy
         #: Per-op fused cost row: (handoff_ps, tail_ps, execution_cycles_f,
         #: ptr_accesses, touches_data, is_data_write).
         self._opinfo = {

@@ -1,11 +1,9 @@
 """Network traffic substrate.
 
 The paper's evaluations are driven by network traffic: worst-case 64-byte
-Ethernet packets (Sections 4-5), per-flow queued traffic over up to 32 K
-flows (Section 6), and ATM cells for the application list.  This package
-provides the packet/flow abstractions and synthetic generators that stand
-in for the authors' physical traffic sources (see DESIGN.md,
-substitutions table).
+Ethernet packets (Sections 4-5) and per-flow queued traffic over up to
+32 K flows (Section 6).  This package provides the packet abstraction
+and the Ethernet line-rate arithmetic the models price traffic with.
 """
 
 from repro.net.packet import Packet, SEGMENT_BYTES
@@ -18,17 +16,6 @@ from repro.net.ethernet import (
     pps_to_gbps,
     wire_time_ps,
 )
-from repro.net.atm import ATM_CELL_BYTES, ATM_PAYLOAD_BYTES, AtmCell, segment_into_cells
-from repro.net.flows import FlowTable, uniform_flow_chooser, zipf_flow_chooser
-from repro.net.generators import (
-    TimedPacket,
-    cbr_stream,
-    imix_stream,
-    merge_streams,
-    onoff_stream,
-    poisson_stream,
-)
-from repro.net.trace import PacketTrace
 
 __all__ = [
     "Packet",
@@ -40,18 +27,4 @@ __all__ = [
     "packet_service_time_ps",
     "line_rate_pps",
     "pps_to_gbps",
-    "ATM_CELL_BYTES",
-    "ATM_PAYLOAD_BYTES",
-    "AtmCell",
-    "segment_into_cells",
-    "FlowTable",
-    "uniform_flow_chooser",
-    "zipf_flow_chooser",
-    "TimedPacket",
-    "cbr_stream",
-    "poisson_stream",
-    "onoff_stream",
-    "imix_stream",
-    "merge_streams",
-    "PacketTrace",
 ]

@@ -34,7 +34,8 @@ class Packet:
     pid:
         Unique packet id (auto-assigned).
     fields:
-        Application-level header fields (used by :mod:`repro.apps`).
+        Free-form header fields (addresses, tags) a caller may carry
+        with the packet; no model in :mod:`repro` reads them.
     """
 
     length_bytes: int
@@ -64,9 +65,8 @@ class Packet:
     def with_fields(self, **updates: Any) -> "Packet":
         """Copy of this packet with ``fields`` updated (headers rewritten).
 
-        Used by the application models for NAT, encapsulation and header
-        modification; identity (pid) is preserved because the MMS
-        overwrite command modifies segments in place.
+        Identity (pid) is preserved, as the MMS overwrite command
+        modifies segments in place.
         """
         merged = dict(self.fields)
         merged.update(updates)

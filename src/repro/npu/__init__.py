@@ -7,15 +7,14 @@ controller), an external ZBT SRAM for pointers (PLB EMC), and an Ethernet
 MAC staging packets through a dual-port BRAM.  Queue management runs in
 software on the PowerPC; Table 3 prices each sub-operation in cycles.
 
-This package reproduces that platform at transaction level:
+This package prices queue management on that platform:
 
 * :mod:`repro.npu.params` -- PLB/DMA timing parameters,
 * :mod:`repro.npu.microprograms` -- the queue-manager microprograms,
   priced from the real :mod:`repro.queueing` access traces plus
   documented instruction overheads (Table 3, and the Section 5.3
   line-transaction and DMA improvements),
-* :mod:`repro.npu.system` -- a DES model of the whole Figure 1 system
-  for end-to-end runs (MAC -> BRAM -> queue manager -> DDR and back).
+* :mod:`repro.npu.system` -- the Figure 1 architecture drawing.
 """
 
 from repro.npu.params import DmaTiming, NpuParams, PlbTiming
@@ -25,7 +24,7 @@ from repro.npu.microprograms import (
     QueueSwModel,
     Table3Row,
 )
-from repro.npu.system import NpuRunResult, ReferenceNpu, figure1_diagram
+from repro.npu.system import figure1_diagram
 
 __all__ = [
     "PlbTiming",
@@ -35,7 +34,5 @@ __all__ = [
     "CopyStrategy",
     "QueueSwModel",
     "Table3Row",
-    "ReferenceNpu",
-    "NpuRunResult",
     "figure1_diagram",
 ]

@@ -103,11 +103,6 @@ class PacketQueueManager:
         #: through :meth:`admit_enqueue` and overload becomes a
         #: drop/push-out decision instead of an OutOfBuffersError.
         self.policy = policy
-        #: ``callable(flow, pids)`` hooks invoked after a push-out with
-        #: the evicted packet's shadow pids, so owners of per-packet
-        #: metadata (the app pipelines) can release it and account the
-        #: loss.  A list: several clients may share one MMS.
-        self.pushout_listeners = []
         # Shadow state for verification only (no SRAM accesses).
         self._seg_shadow: Dict[int, SegmentInfo] = {}
         self._open_segments: Dict[int, int] = {}   # flow -> count in open pkt
@@ -402,7 +397,6 @@ class PacketQueueManager:
                                self._pack_qa_raw(head_d, self._enc(pred)))
             first, last, _nxt = self._unpack_desc(self.mem.read("desc", t))
             nsegs, nbytes = self._packet_segments_and_bytes(t)
-            pids = self._collect_pids(first, last)
             self.seg_free.push_chain(first, last, nsegs)
             self._free_desc(t)
         finally:
@@ -410,33 +404,7 @@ class PacketQueueManager:
         self._drop_segment_shadows(first, last)
         self._queued_packets[flow] -= 1
         self._queued_segments[flow] -= nsegs
-        for listener in self.pushout_listeners:
-            listener(flow, pids)
         return nsegs, nbytes, trace
-
-    def abort_open_packet(self, flow: int) -> Tuple[int, int]:
-        """Discard ``flow``'s partially assembled (open) packet.
-
-        Partial-packet discard: after a mid-packet drop the already
-        buffered segments of the aborted packet would leak; this frees
-        them and retires the open descriptor.  Returns ``(segments,
-        bytes)`` freed (0, 0 when no packet is open).
-        """
-        self._check_flow(flow)
-        open_word = self.mem.peek("queue_b", flow)
-        if open_word == NIL:
-            return 0, 0
-        d = self._dec(open_word)
-        first, last, _nxt = self._unpack_desc(self.mem.read("desc", d))
-        nsegs, nbytes = self._packet_segments_and_bytes(d)
-        self.seg_free.push_chain(first, last, nsegs)
-        self._free_desc(d)
-        self.mem.write("queue_b", flow, NIL)
-        self._drop_segment_shadows(first, last)
-        self._open_segments.pop(flow, None)
-        if self.policy is not None:
-            self.policy.note_release(flow, nbytes, nsegs)
-        return nsegs, nbytes
 
     # ============================================== combination commands
 
@@ -841,18 +809,6 @@ class PacketQueueManager:
             if cur == last:
                 return
             cur = nxt
-
-    def _collect_pids(self, first: int, last: int) -> List[int]:
-        """Distinct shadow pids of a chain, in order (uncounted walk)."""
-        pids: List[int] = []
-        cur = first
-        while True:
-            shadow = self._seg_shadow.get(cur)
-            if shadow is not None and shadow.pid not in pids:
-                pids.append(shadow.pid)
-            if cur == last:
-                return pids
-            cur = (self.mem.peek("seg_next", cur) & LINK_MASK) - 1
 
     # encodings ---------------------------------------------------------
 

@@ -38,7 +38,8 @@ from repro.analysis.paper_data import (
     PAPER_TABLE5,
 )
 from repro.core import CommandType, MICROCODE
-from repro.core.mms import MmsConfig, figure2_diagram, run_load, run_saturation
+from repro.core.mms import (MmsConfig, figure2_diagram, flow_queues, run_load,
+                            run_saturation)
 from repro.core.scheduler import PortConfig
 from repro.ixp import simulate_ixp
 from repro.ixp.program import build_queue_program
@@ -855,11 +856,11 @@ _register_latency_family()
 # motivates per-flow queues with "advanced Quality of Service" but
 # leaves the egress policy to the surrounding system.  These scenarios
 # make the two standard policies registry-reachable artifacts: a seeded
-# backlog is built functionally (MMS.apply -- no DES, so there is no
-# engine degree of freedom) and drained through the scheduler under
-# test.
+# backlog is enqueued on the functional queue manager (no simulated
+# time, so there is no engine degree of freedom) and drained through
+# the scheduler under test.
 
-#: MMS build of the QoS scenarios (functional path only).
+#: MMS build of the QoS scenarios (only its queue manager is built).
 QOS_MMS_CFG = MmsConfig(num_flows=16, num_segments=8192,
                         num_descriptors=4096)
 
@@ -868,11 +869,11 @@ QOS_FLOWS = (0, 1, 2, 3)
 QOS_DRR_WEIGHTS = (4.0, 2.0, 1.0, 1.0)
 
 
-def _qos_backlog(mms, num_packets: int, seed: int):
+def _qos_backlog(pqm, num_packets: int, seed: int):
     """Build a seeded multi-class backlog; returns per-flow byte totals."""
     import random as _random
 
-    from repro.core.commands import Command as _Command
+    from repro.core.dqm import dispatch_command
 
     rng = _random.Random(seed)
     enq_bytes = {f: 0 for f in QOS_FLOWS}
@@ -883,8 +884,8 @@ def _qos_backlog(mms, num_packets: int, seed: int):
         for s in range(nsegs):
             eop = s == nsegs - 1
             length = last_len if eop else 64
-            mms.apply(_Command(type=CommandType.ENQUEUE, flow=flow,
-                               eop=eop, length=length))
+            dispatch_command(pqm, CommandType.ENQUEUE, flow, None, eop,
+                             length)
             enq_bytes[flow] += length
     return enq_bytes
 
@@ -899,13 +900,13 @@ def _qos_backlog(mms, num_packets: int, seed: int):
     supports=frozenset({"seed", "budget", "mms"}),
 ))
 def _qos_strict(spec: ScenarioSpec) -> Outcome:
-    from repro.core.mms import MMS
     from repro.core.qos import StrictPriorityScheduler
 
-    mms = MMS(spec.mms or QOS_MMS_CFG)
-    enq_bytes = _qos_backlog(mms, spec.pick(spec.traffic.num_commands),
+    # the policy clock reads 0: backlog and drain take no simulated time
+    pqm = flow_queues(spec.mms or QOS_MMS_CFG, lambda: 0)
+    enq_bytes = _qos_backlog(pqm, spec.pick(spec.traffic.num_commands),
                              spec.seed)
-    sched = StrictPriorityScheduler(mms, QOS_FLOWS)
+    sched = StrictPriorityScheduler(pqm, QOS_FLOWS)
     served_bytes = {f: 0 for f in QOS_FLOWS}
     order: List[int] = []
     while True:
@@ -942,13 +943,13 @@ def _qos_strict(spec: ScenarioSpec) -> Outcome:
     supports=frozenset({"seed", "budget", "mms"}),
 ))
 def _qos_drr(spec: ScenarioSpec) -> Outcome:
-    from repro.core.mms import MMS
     from repro.core.qos import DeficitRoundRobin
 
     num_packets = spec.pick(spec.traffic.num_commands)
-    mms = MMS(spec.mms or QOS_MMS_CFG)
-    enq_bytes = _qos_backlog(mms, num_packets, spec.seed)
-    drr = DeficitRoundRobin(mms, QOS_FLOWS, weights=QOS_DRR_WEIGHTS,
+    # the policy clock reads 0: backlog and drain take no simulated time
+    pqm = flow_queues(spec.mms or QOS_MMS_CFG, lambda: 0)
+    enq_bytes = _qos_backlog(pqm, num_packets, spec.seed)
+    drr = DeficitRoundRobin(pqm, QOS_FLOWS, weights=QOS_DRR_WEIGHTS,
                             quantum_bytes=512)
     # serve only part of the backlog so every class stays backlogged --
     # the regime in which DRR's weighted byte-fairness is defined

@@ -31,7 +31,7 @@ executable specification the DES-free machines (:mod:`repro.engines`,
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 ProcessBody = Generator[Any, Any, Any]
 
@@ -179,24 +179,6 @@ class Simulator:
             )
         return end
 
-    def schedule_state(self) -> Dict[str, Any]:
-        """Serialize the event schedule: the clock plus every live
-        pending resume as ``[when_ps, process_name, value_kind]`` in
-        ``(time, sequence)`` order (sorting a heap list yields exactly
-        that order -- the sequence is the unique tie-break).
-
-        Process names carry their spawn sequence number (``name#seq``),
-        so two runs of the same model produce identical serializations
-        exactly when their schedules are equivalent -- the anchor of the
-        kernel path's replay-verified checkpoints
-        (:mod:`repro.checkpoint`).  Stale entries (process already
-        done) are skipped: they are unobservable.
-        """
-        entries = [[when, proc.name, _value_kind(value)]
-                   for when, _seq, proc, value in sorted(self._heap)
-                   if not proc.done]
-        return {"now": self.now, "entries": entries}
-
     # ----------------------------------------------------------- internals
 
     def _push(self, when: int, proc: Process, value: Any) -> None:
@@ -224,13 +206,6 @@ class Simulator:
                 f"process {proc.name!r} yielded unsupported command "
                 f"{command!r} (expected int delay, Event, Process or None)"
             )
-
-
-def _value_kind(value: Any) -> str:
-    """Stable label of a pending resume value for serialization (the
-    values themselves -- event payloads, process results -- are model
-    objects and not JSON)."""
-    return "none" if value is None else type(value).__name__
 
 
 def all_of(sim: Simulator, events: Iterable[Event]) -> Event:

@@ -54,6 +54,16 @@ def test_checkpoint_run_needs_scenario_or_resume(capsys):
     assert "scenario name or --resume-from" in str(exc.value)
 
 
+def test_checkpoint_run_has_no_engine_flag(capsys):
+    """Only the stream engine checkpoints, so ``--engine`` is gone: the
+    reference kernel is the unbroken oracle, not a checkpoint engine."""
+    with pytest.raises(SystemExit) as exc:
+        main(["checkpoint-run", "latency-lqd-burst", "--fast",
+              "--engine", "reference"])
+    assert exc.value.code == 2           # argparse usage error
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
 def test_checkpoint_run_rejects_unknown_scenario(parser, capsys):
     err = _parse_error(parser, capsys, ["checkpoint-run", "no-such"])
     assert "invalid choice" in err

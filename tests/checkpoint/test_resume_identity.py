@@ -9,9 +9,11 @@ run.  This suite fuzzes that over:
 
 * rich mixed-op scripts (every command type) on the stream engine,
   with multi-split chains (resume of a resume),
-* the same scripts on the kernel engine's replay-anchored checkpoints,
+* the same split runs against the unbroken DES-kernel reference (the
+  kernel takes no checkpoints: it is the oracle the split runs meet),
 * all four latency-family policies (taildrop, red, dynamic-threshold,
-  lqd) under the overload workload, on both engines,
+  lqd) under the overload workload, against the unbroken stream run
+  and the unbroken reference,
 * drained overload scripts (closed-loop ``queued_packets`` probing and
   shared counters crossing the checkpoint boundary),
 * edge splits: before the first event and after the workload drained.
@@ -31,17 +33,16 @@ import pytest
 from repro.checkpoint import (
     Checkpoint,
     CheckpointError,
-    KernelRun,
     StreamRun,
-    functional_digest,
     overload_params,
     script_params,
 )
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
+from repro.engines import harnesses
 from repro.engines.stream import DMC_WAKE_KINDS
 from repro.policies import PolicySpec
-from repro.telemetry import TelemetrySpec
+from repro.telemetry import MmsTelemetry, TelemetrySpec
 from tests.engines.test_stream_fuzz import (
     Capture,
     HORIZON,
@@ -49,6 +50,7 @@ from tests.engines.test_stream_fuzz import (
     _capture_mem,
     assert_identical,
     make_mixed_scripts,
+    run_reference,
     run_stream,
 )
 
@@ -208,24 +210,17 @@ def test_inconsistent_dmc_wakes_are_refused(corruption):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_mixed_scripts_kernel_split_identical(seed):
+def test_mixed_scripts_stream_split_matches_the_reference(seed):
+    """A split-and-resumed stream run meets the unbroken DES-kernel
+    run: the cross-engine pin on split runs."""
     scripts = make_mixed_scripts(seed)
+    reference = run_reference(MIXED_CFG, [list(s) for s in scripts])
     params = script_params(MIXED_CFG, scripts, horizon_ps=HORIZON,
                            telemetry=TELE_SPEC)
-    whole = KernelRun.fresh("script", params)
-    base = whole.finish()
-    base_digest = functional_digest(whole.mms, whole.store)
-    base_tel = json.dumps(whole.probe.snapshot().to_dict())
-
     rng = random.Random(seed + 31)
-    split = rng.randrange(1, _probe_span(whole.probe))
-    run = KernelRun.fresh("script", params)
-    run.run(split)
-    blob = run.checkpoint().to_json()
-    resumed = KernelRun.resume(Checkpoint.from_json(blob))
-    assert resumed.finish() == base
-    assert functional_digest(resumed.mms, resumed.store) == base_digest
-    assert json.dumps(resumed.probe.snapshot().to_dict()) == base_tel
+    split = run_stream_with_splits(params,
+                                   [rng.randrange(1, _span(reference))])
+    assert_identical(reference, split)
 
 
 # ---------------------------------------------- latency-family policies
@@ -246,11 +241,7 @@ def _overload_state(run) -> tuple:
     """Everything a latency scenario observes: the typed result, the
     policy books (DropRecords included) and the telemetry snapshot."""
     result = run.finish()
-    if isinstance(run, StreamRun):
-        policy = run.eng.policy
-    else:
-        policy = run.mms.policy
-    return (result, policy.state_dict(),
+    return (result, run.eng.policy.state_dict(),
             json.dumps(run.probe.snapshot().to_dict()))
 
 
@@ -274,19 +265,28 @@ def test_latency_policies_stream_split_identical(policy):
 
 @pytest.mark.parametrize("policy", LATENCY_POLICIES,
                          ids=lambda p: p.name)
-def test_latency_policies_kernel_split_identical(policy):
-    params = overload_params(_latency_cfg(policy), "burst",
-                             num_arrivals=240, active_flows=32,
-                             telemetry=TelemetrySpec(),
-                             engine_label="reference")
-    whole = KernelRun.fresh("overload", params)
-    base = _overload_state(whole)
-    span = _probe_span(whole.probe)
-    run = KernelRun.fresh("overload", params)
-    run.run(random.Random(len(policy.name)).randrange(1, span))
-    blob = run.checkpoint().to_json()
-    resumed = KernelRun.resume(Checkpoint.from_json(blob))
-    assert _overload_state(resumed) == base
+def test_latency_policies_stream_split_matches_the_reference(policy):
+    """The resumed stream run's result, policy books and telemetry
+    equal the unbroken DES-kernel overload run's."""
+    cfg = _latency_cfg(policy)
+    probe = MmsTelemetry(TelemetrySpec())
+    eng = harnesses.make_machine(cfg, "reference", probe)
+    counters = {"dequeued": 0}
+    horizon = harnesses.attach_overload(eng, "burst", 240, 32, counters)
+    eng.run(horizon)
+    reference = (
+        harnesses.assemble_overload_result(eng, cfg, "burst", counters,
+                                           horizon, probe=probe),
+        eng.policy.state_dict(), json.dumps(probe.snapshot().to_dict()))
+
+    params = overload_params(cfg, "burst", num_arrivals=240,
+                             active_flows=32, telemetry=TelemetrySpec())
+    run = StreamRun.fresh("overload", params)
+    run.run(random.Random(len(policy.name)).randrange(
+        1, _probe_span(probe)))
+    resumed = StreamRun.resume(
+        Checkpoint.from_json(run.checkpoint().to_json()))
+    assert _overload_state(resumed) == reference
 
 
 # ----------------------------------------- drained scripts (counters)

@@ -4,6 +4,7 @@ validation."""
 
 import dataclasses
 import inspect
+import json
 import types
 
 import pytest
@@ -11,10 +12,8 @@ import pytest
 from repro.checkpoint import (
     Checkpoint,
     CheckpointError,
-    KernelRun,
     StreamRun,
     overload_params,
-    resume_run,
     run_with_checkpoints,
     script_params,
     snapshot_stream,
@@ -25,13 +24,12 @@ from repro.policies import PolicySpec
 from repro.policies.harness import OVERLOAD_MMS_CFG, run_overload
 
 
-def _overload(engine_label="fast", **kw):
+def _overload(**kw):
     spec = PolicySpec("red")
     cfg = dataclasses.replace(OVERLOAD_MMS_CFG, policy=spec,
                               policy_seed=11, policy_records=True)
     return overload_params(cfg, "burst", num_arrivals=240,
-                           active_flows=32, engine_label=engine_label,
-                           **kw)
+                           active_flows=32, **kw)
 
 
 # ----------------------------------------------- harness equivalence
@@ -46,21 +44,26 @@ def test_stream_run_matches_plain_harness():
     assert run.finish() == base
 
 
-def test_kernel_run_matches_plain_harness():
+def test_stream_run_matches_the_reference_harness():
+    """The checkpointable stream run equals the unbroken DES-kernel
+    reference field for field (only the engine label differs)."""
     base = run_overload(PolicySpec("red"), "burst", num_arrivals=240,
                         active_flows=32, seed=11, engine="reference",
                         keep_records=True)
-    run = KernelRun.fresh("overload", _overload("reference"))
-    assert run.finish() == base
+    result = StreamRun.fresh("overload", _overload()).finish()
+    assert dataclasses.replace(result, engine="reference") == base
 
 
-def test_resume_run_dispatches_by_engine():
-    stream = StreamRun.fresh("overload", _overload())
-    stream.run(stream.horizon // 4)
-    kernel = KernelRun.fresh("overload", _overload("reference"))
-    kernel.run(kernel.horizon // 4)
-    assert isinstance(resume_run(stream.checkpoint()), StreamRun)
-    assert isinstance(resume_run(kernel.checkpoint()), KernelRun)
+def test_documents_with_a_legacy_engine_label_still_resume():
+    """Overload documents written when the kernel could checkpoint too
+    carry an ``engine_label`` param; it loads and selects nothing."""
+    base = StreamRun.fresh("overload", _overload()).finish()
+    run = StreamRun.fresh("overload", _overload())
+    run.run(run.horizon // 4)
+    doc = run.checkpoint().to_dict()
+    doc["params"]["engine_label"] = "fast"
+    resumed = StreamRun.resume(Checkpoint.from_json(json.dumps(doc)))
+    assert resumed.finish() == base
 
 
 # ---------------------------------------------- structural absence
@@ -101,29 +104,21 @@ def test_plain_path_sources_never_import_checkpoint(module_name):
 def test_unknown_workloads_are_rejected():
     with pytest.raises(CheckpointError, match="unknown stream workload"):
         StreamRun("quantum", {})
-    with pytest.raises(CheckpointError, match="unknown kernel workload"):
-        KernelRun("load", {})
 
 
-def test_resume_rejects_engine_mismatch():
+def test_resume_rejects_engine_mismatch(tmp_path):
+    """Only the stream engine checkpoints: a document naming the kernel
+    (written when it could) is refused at load, naming the engine."""
     stream = StreamRun.fresh("overload", _overload())
     stream.run(1_000_000)
-    ckpt = stream.checkpoint()
-    with pytest.raises(CheckpointError, match="cannot resume"):
-        KernelRun.resume(ckpt)
-    kernel = KernelRun.fresh("overload", _overload("reference"))
-    kernel.run(1_000_000)
-    with pytest.raises(CheckpointError, match="cannot resume"):
-        StreamRun.resume(kernel.checkpoint())
-
-
-def test_kernel_resume_refuses_tampered_anchor():
-    run = KernelRun.fresh("overload", _overload("reference"))
-    run.run(run.horizon // 4)
-    doc = run.checkpoint().to_dict()
-    doc["state"]["fingerprint"]["digest"] = "0" * 64
-    with pytest.raises(CheckpointError, match="did not re-anchor"):
-        KernelRun.resume(Checkpoint.from_dict(doc))
+    doc = stream.checkpoint().to_dict()
+    doc["engine"] = "kernel"
+    with pytest.raises(CheckpointError, match="engine 'kernel'"):
+        Checkpoint.from_dict(doc)
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="engine 'kernel'"):
+        Checkpoint.load(str(path))
 
 
 def test_script_params_drain_needs_three_mark_done_scripts():

@@ -1,5 +1,5 @@
 """Tests for the individual MMS blocks: scheduler, DMC, segmentation,
-reassembly, latency records."""
+reassembly."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.core import (
     ReassemblyBlock,
     SegmentationBlock,
 )
-from repro.core.latency import CommandLatency, LatencyBreakdown
 from repro.net import Packet
 from repro.queueing.packet_queues import SegmentInfo
 from repro.sim import Clock, Simulator
@@ -232,21 +231,3 @@ def test_reassembly_inverse_of_segmentation():
     assert out.length_bytes == pkt.length_bytes
     assert out.num_segments == pkt.num_segments
     assert out.pid == pkt.pid
-
-# -------------------------------------------------------------- latency
-
-def test_latency_total_is_additive():
-    lat = CommandLatency(cid=1, fifo_cycles=20, execution_cycles=10.5,
-                         data_cycles=28)
-    assert lat.total_cycles == pytest.approx(58.5)
-
-def test_breakdown_row_means():
-    bd = LatencyBreakdown(Clock(125))
-    bd.record(CommandLatency(1, 10, 10, 30))
-    bd.record(CommandLatency(2, 30, 11, 26))
-    row = bd.row()
-    assert row["fifo"] == pytest.approx(20)
-    assert row["execution"] == pytest.approx(10.5)
-    assert row["data"] == pytest.approx(28)
-    assert row["total"] == pytest.approx(58.5)
-    assert bd.count == 2

@@ -2,61 +2,64 @@
 
 import pytest
 
-from repro.core import MMS, MmsConfig
 from repro.core.qos import DeficitRoundRobin, StrictPriorityScheduler
+from repro.queueing import PacketQueueManager
 
-CFG = MmsConfig(num_flows=16, num_segments=2048, num_descriptors=1024)
+
+def make_pqm():
+    return PacketQueueManager(num_flows=16, num_segments=2048,
+                              num_descriptors=1024)
 
 
-def fill(mms, flow, packets, segs=1, pid_base=0):
+def fill(pqm, flow, packets, segs=1, pid_base=0):
     for p in range(packets):
         for s in range(segs):
-            mms.pqm.enqueue_segment(flow, eop=(s == segs - 1),
-                                    pid=pid_base + p, index=s)
+            pqm.enqueue_segment(flow, eop=(s == segs - 1),
+                                pid=pid_base + p, index=s)
 
 # ----------------------------------------------------- strict priority
 
 def test_strict_priority_serves_high_first():
-    mms = MMS(CFG)
-    fill(mms, 0, 2)   # high
-    fill(mms, 1, 2)   # low
-    sched = StrictPriorityScheduler(mms, flows=[0, 1])
+    pqm = make_pqm()
+    fill(pqm, 0, 2)   # high
+    fill(pqm, 1, 2)   # low
+    sched = StrictPriorityScheduler(pqm, flows=[0, 1])
     flows = [sched.next_packet().flow for _ in range(4)]
     assert flows == [0, 0, 1, 1]
     assert sched.next_packet() is None
 
 def test_strict_priority_preemption_between_packets():
-    mms = MMS(CFG)
-    fill(mms, 1, 2)
-    sched = StrictPriorityScheduler(mms, flows=[0, 1])
+    pqm = make_pqm()
+    fill(pqm, 1, 2)
+    sched = StrictPriorityScheduler(pqm, flows=[0, 1])
     assert sched.next_packet().flow == 1
-    fill(mms, 0, 1)  # high-priority packet arrives
+    fill(pqm, 0, 1)  # high-priority packet arrives
     assert sched.next_packet().flow == 0
 
 def test_strict_priority_validation():
-    mms = MMS(CFG)
+    pqm = make_pqm()
     with pytest.raises(ValueError):
-        StrictPriorityScheduler(mms, flows=[])
+        StrictPriorityScheduler(pqm, flows=[])
     with pytest.raises(ValueError):
-        StrictPriorityScheduler(mms, flows=[1, 1])
+        StrictPriorityScheduler(pqm, flows=[1, 1])
 
 # ----------------------------------------------------------------- DRR
 
 def test_drr_equal_weights_equal_bytes():
-    mms = MMS(CFG)
+    pqm = make_pqm()
     for flow in (0, 1):
-        fill(mms, flow, 40, segs=1)  # 40 x 64 B each
+        fill(pqm, flow, 40, segs=1)  # 40 x 64 B each
     # quantum 128 = 2 packets per flow per round; 40 packets = 10 full
     # rounds, so the shares are exactly equal
-    drr = DeficitRoundRobin(mms, flows=[0, 1], quantum_bytes=128)
+    drr = DeficitRoundRobin(pqm, flows=[0, 1], quantum_bytes=128)
     shares = drr.drain_fair_shares(40)
     assert shares[0] == shares[1]
 
 def test_drr_weighted_shares():
-    mms = MMS(CFG)
+    pqm = make_pqm()
     for flow in (0, 1):
-        fill(mms, flow, 60, segs=1)
-    drr = DeficitRoundRobin(mms, flows=[0, 1], weights=[3.0, 1.0],
+        fill(pqm, flow, 60, segs=1)
+    drr = DeficitRoundRobin(pqm, flows=[0, 1], weights=[3.0, 1.0],
                             quantum_bytes=256)
     shares = drr.drain_fair_shares(40)
     assert shares[0] / shares[1] == pytest.approx(3.0, rel=0.35)
@@ -64,10 +67,10 @@ def test_drr_weighted_shares():
 def test_drr_byte_fairness_with_mixed_packet_sizes():
     """Flow 0 sends big packets (5 segments), flow 1 small (1 segment):
     byte shares stay near equal even though packet counts differ."""
-    mms = MMS(CFG)
-    fill(mms, 0, 30, segs=5)   # 30 x 320 B
-    fill(mms, 1, 60, segs=1)   # 60 x 64 B
-    drr = DeficitRoundRobin(mms, flows=[0, 1], quantum_bytes=128)
+    pqm = make_pqm()
+    fill(pqm, 0, 30, segs=5)   # 30 x 320 B
+    fill(pqm, 1, 60, segs=1)   # 60 x 64 B
+    drr = DeficitRoundRobin(pqm, flows=[0, 1], quantum_bytes=128)
     shares = drr.drain_fair_shares(48)  # both flows stay backlogged
     # +-1 packet of the 320 B flow is a large fraction of a short
     # window; long-run fairness is byte-exact (see equal-weights test)
@@ -79,33 +82,33 @@ def test_drr_byte_fairness_with_mixed_packet_sizes():
     assert packets_1 > 3 * packets_0
 
 def test_drr_serves_everything_to_completion():
-    mms = MMS(CFG)
-    fill(mms, 0, 3, segs=2)
-    fill(mms, 2, 2, segs=1)
-    drr = DeficitRoundRobin(mms, flows=[0, 1, 2])
+    pqm = make_pqm()
+    fill(pqm, 0, 3, segs=2)
+    fill(pqm, 2, 2, segs=1)
+    drr = DeficitRoundRobin(pqm, flows=[0, 1, 2])
     served = 0
     while drr.next_packet() is not None:
         served += 1
     assert served == 5
-    assert mms.pqm.queued_segments(0) == 0
-    assert mms.pqm.queued_segments(2) == 0
+    assert pqm.queued_segments(0) == 0
+    assert pqm.queued_segments(2) == 0
 
 def test_drr_idle_flow_loses_deficit():
-    mms = MMS(CFG)
-    fill(mms, 0, 1, segs=1)
-    drr = DeficitRoundRobin(mms, flows=[0, 1], quantum_bytes=10_000)
+    pqm = make_pqm()
+    fill(pqm, 0, 1, segs=1)
+    drr = DeficitRoundRobin(pqm, flows=[0, 1], quantum_bytes=10_000)
     drr.next_packet()
     assert drr._deficit[1] == 0.0  # flow 1 never backlogged: no credit
 
 def test_drr_validation():
-    mms = MMS(CFG)
+    pqm = make_pqm()
     with pytest.raises(ValueError):
-        DeficitRoundRobin(mms, flows=[])
+        DeficitRoundRobin(pqm, flows=[])
     with pytest.raises(ValueError):
-        DeficitRoundRobin(mms, flows=[0, 0])
+        DeficitRoundRobin(pqm, flows=[0, 0])
     with pytest.raises(ValueError):
-        DeficitRoundRobin(mms, flows=[0], weights=[1, 2])
+        DeficitRoundRobin(pqm, flows=[0], weights=[1, 2])
     with pytest.raises(ValueError):
-        DeficitRoundRobin(mms, flows=[0], weights=[0.0])
+        DeficitRoundRobin(pqm, flows=[0], weights=[0.0])
     with pytest.raises(ValueError):
-        DeficitRoundRobin(mms, flows=[0], quantum_bytes=10)
+        DeficitRoundRobin(pqm, flows=[0], quantum_bytes=10)

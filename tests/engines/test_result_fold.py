@@ -3,8 +3,9 @@
 ``assemble_load_result`` and ``assemble_saturation_result`` fold a
 finished run's latency records into an ``MmsLoadResult`` in one pass
 with inline Welford mean steps.  The oracle below is the fold they
-replaced -- every record through a full-run ``LatencyBreakdown``, the
-warm ones through a second -- kept here so random record lists can pin
+replaced -- every record through a full-run ``Breakdown`` (one
+``RunningStats`` per column), the warm ones through a second -- kept
+here so random record lists can pin
 the results ``==``, not approximately equal: the warm-window slice, the
 empty-window fallback (no warm-up, a window exactly used up by the
 warm-up, a run shorter than the warm-up), the elapsed-time anchor and
@@ -14,13 +15,13 @@ the probe replay.
 from hypothesis import given, strategies as st
 
 from repro.core.commands import CommandType
-from repro.core.latency import LatencyBreakdown
 from repro.core.mms import MmsLoadResult
 from repro.engines.harnesses import (
     assemble_load_result,
     assemble_saturation_result,
 )
 from repro.sim.clock import Clock
+from repro.sim.stats import RunningStats
 
 CLOCK = Clock(125)
 HORIZON = 10**12
@@ -42,6 +43,27 @@ class FakeMachine:
         return [r[:5] for r in self._records]
 
 
+class Breakdown:
+    """Per-column running means of latency records (the Table 5
+    aggregation the one-pass folds replaced)."""
+
+    def __init__(self):
+        self.fifo = RunningStats()
+        self.execution = RunningStats()
+        self.data = RunningStats()
+        self.end_to_end = RunningStats()
+
+    def record_parts(self, fifo_c, exec_c, data_c, e2e_c):
+        self.fifo.add(fifo_c)
+        self.execution.add(exec_c)
+        self.data.add(data_c)
+        self.end_to_end.add(e2e_c)
+
+    @property
+    def count(self):
+        return self.fifo.count
+
+
 class RecordingProbe:
     def __init__(self):
         self.records = []
@@ -51,8 +73,8 @@ class RecordingProbe:
 
 
 def oracle_load(records, warmup_volleys, offered_gbps):
-    breakdown = LatencyBreakdown(CLOCK)
-    warm = LatencyBreakdown(CLOCK)
+    breakdown = Breakdown()
+    warm = Breakdown()
     t0 = None
     t_last = 0
     boundary = warmup_volleys * 4
@@ -64,31 +86,29 @@ def oracle_load(records, warmup_volleys, offered_gbps):
         if t0 is not None and breakdown.count > boundary:
             warm.record_parts(fifo_c, exec_c, data_c, e2e_c)
     use = warm if warm.count else breakdown
-    row = use.row()
     return MmsLoadResult(
         offered_gbps=offered_gbps,
         completed_ops=use.count,
         elapsed_ps=t_last - (t0 or 0),
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
+        fifo_cycles=use.fifo.mean,
+        execution_cycles=use.execution.mean,
+        data_cycles=use.data.mean,
         end_to_end_cycles=use.end_to_end.mean,
     )
 
 
 def oracle_saturation(records, commands_executed):
-    breakdown = LatencyBreakdown(CLOCK)
+    breakdown = Breakdown()
     for _time_ps, fifo_c, exec_c, data_c, e2e_c, _op in records:
         breakdown.record_parts(fifo_c, exec_c, data_c, e2e_c)
-    row = breakdown.row()
     return MmsLoadResult(
         offered_gbps=float("inf"),
         completed_ops=breakdown.count,
         elapsed_ps=round(commands_executed * breakdown.execution.mean
                          * CLOCK.period_ps),
-        fifo_cycles=row["fifo"],
-        execution_cycles=row["execution"],
-        data_cycles=row["data"],
+        fifo_cycles=breakdown.fifo.mean,
+        execution_cycles=breakdown.execution.mean,
+        data_cycles=breakdown.data.mean,
         end_to_end_cycles=breakdown.end_to_end.mean,
     )
 

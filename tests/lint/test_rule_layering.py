@@ -89,7 +89,7 @@ def test_platform_layer_may_not_import_slow(config):
     findings = lint(
         """
         from repro.scenarios import registry
-        """, "repro/apps/ip_router.py", config)
+        """, "repro/npu/microprograms.py", config)
     assert len(findings) == 1
     assert "'platform'" in findings[0].message
 

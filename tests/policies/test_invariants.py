@@ -158,22 +158,6 @@ def test_pqm_drop_tail_packet_multi_segment_frees_whole_chain():
         pqm.drop_tail_packet(0)
 
 
-def test_pqm_abort_open_packet_frees_partial_assembly():
-    pqm = PacketQueueManager(num_flows=2, num_segments=8, num_descriptors=8)
-    pqm.enqueue_segment(0, eop=False)
-    pqm.enqueue_segment(0, eop=False)
-    assert pqm.open_segments(0) == 2
-    nsegs, nbytes = pqm.abort_open_packet(0)
-    assert (nsegs, nbytes) == (2, 128)
-    assert pqm.open_segments(0) == 0
-    assert pqm.free_segments == 8 and pqm.free_descriptors == 8
-    # idempotent on a flow with nothing open
-    assert pqm.abort_open_packet(0) == (0, 0)
-    # the flow still works afterwards
-    pqm.enqueue_segment(0, eop=True)
-    assert pqm.queued_packets(0) == 1
-
-
 def test_admit_enqueue_without_policy_matches_legacy_path():
     pqm = PacketQueueManager(num_flows=2, num_segments=2, num_descriptors=2)
     slot, trace = pqm.admit_enqueue(0, eop=True)
@@ -238,101 +222,24 @@ def test_lqd_pushes_out_to_free_a_descriptor():
     assert pqm.queued_packets(0) == 1 and pqm.queued_packets(1) == 1
 
 
-def test_app_descriptor_exhaustion_drops_instead_of_raising():
-    """The review repro: more single-segment packets than descriptors
-    through an app pipeline must degrade to drops."""
-    from repro.apps import IpRouter
-    from repro.net.packet import Packet
-    r = IpRouter(num_next_hops=2, policy=PolicySpec(name="taildrop"))
-    n_desc = r.mms.config.num_descriptors
-    for i in range(n_desc + 5):
-        r.receive(Packet(length_bytes=32,
-                         fields={"dst_ip": "10.0.0.1", "ttl": 8}))
-    assert r.dropped_policy == 5
-
-
-# --------------------------------------- push-out metadata accounting
-
-def test_pushout_listener_releases_app_metadata():
-    from repro.apps import IpRouter
-    from repro.net.packet import Packet
-    from repro.core import MMS, MmsConfig
-    mms = MMS(MmsConfig(num_flows=3, num_segments=8, num_descriptors=8,
-                        policy=PolicySpec(name="lqd")))
-    r = IpRouter(num_next_hops=2, mms=mms)
-    r.table.add("10.0.0.0", 8, 0)
-    for _ in range(8):
-        r.receive(Packet(length_bytes=32,
-                         fields={"dst_ip": "10.0.0.1", "ttl": 8}))
-        r.route_all()   # everything lands in next-hop queue 0
-    assert len(r._pkt_meta) == 8
-    for _ in range(3):  # overload: push-outs evict queue 0's tail
-        r.receive(Packet(length_bytes=32,
-                         fields={"dst_ip": "10.0.0.1", "ttl": 8}))
-    assert r.pushed_out == 3
-    # metadata book matches buffered packets exactly: no leak
-    buffered = sum(mms.pqm.queued_packets(f) + (1 if mms.pqm.open_segments(f) else 0)
-                   for f in range(3))
-    assert len(r._pkt_meta) == buffered
-
-
-def test_switch_policy_drop_not_double_counted():
-    from repro.apps import QosEthernetSwitch, SwitchConfig
-    from repro.net.packet import Packet
-    sw = QosEthernetSwitch(SwitchConfig(num_ports=2, segments_per_port=1,
-                                        policy=PolicySpec(name="taildrop")))
-    sw.ingress(0, Packet(length_bytes=64, fields={"src_mac": "a",
-                                                  "dst_mac": "b"}))
-    sw.ingress(1, Packet(length_bytes=64, fields={"src_mac": "b",
-                                                  "dst_mac": "a"}))
-    before = sw.frames_dropped
-    # buffer (2 segments) is now full: the next unicast is policy-only
-    sw.ingress(0, Packet(length_bytes=64, fields={"src_mac": "a",
-                                                  "dst_mac": "b"}))
-    assert sw.frames_dropped_policy == 1
-    assert sw.frames_dropped == before  # not double-counted
-
-
-def test_switch_pushout_accounting_and_meta_release():
-    from repro.apps import QosEthernetSwitch, SwitchConfig
-    from repro.net.packet import Packet
-    sw = QosEthernetSwitch(SwitchConfig(num_ports=2, segments_per_port=2,
-                                        policy=PolicySpec(name="lqd")))
-    # fill port 1's queue (dst b) until the 4-segment buffer is full
-    for _ in range(4):
-        sw.ingress(0, Packet(length_bytes=64, fields={"src_mac": "a",
-                                                      "dst_mac": "b"}))
-    sw._mac_table["a"] = 0  # teach the reverse path without an ingress
-    # arrival on the *short* queue (port 0): LQD evicts port 1's tail
-    sw.ingress(1, Packet(length_bytes=64, fields={"src_mac": "b",
-                                                  "dst_mac": "a"}))
-    assert sw.frames_pushed_out == 1
-    queued = sum(sw.queued_frames(p) for p in range(2))
-    assert len(sw._pkt_meta) == queued  # refs released on push-out
-    # egress also releases metadata
-    while any(sw.egress(p) for p in range(2)):
-        pass
-    assert sw._pkt_meta == {}
-
-
 # ---------------------------------------------- policy-aware appends
 
 def test_append_under_full_buffer_is_a_drop_not_a_crash():
     """Header prepend / trailer append during overload must go through
     admission like any arrival (the review repro: encapsulation on a
     pinned-full buffer used to raise OutOfBuffersError)."""
-    from repro.apps import PppEncapsulator
-    from repro.net.packet import Packet
-    from repro.core import MMS, MmsConfig
-    mms = MMS(MmsConfig(num_flows=2, num_segments=4, num_descriptors=4,
-                        policy=PolicySpec(name="taildrop")))
-    enc = PppEncapsulator(mms=mms)
-    for _ in range(4):
-        assert enc.load(Packet(length_bytes=32))
-    segs = enc.encapsulate_head()   # buffer full: header buffer dropped
-    assert segs == 1
-    assert enc.dropped_policy == 1
-    assert enc.encapsulated == 0
+    pol = make_policy(PolicySpec(name="taildrop"), capacity=4)
+    pqm = make_pqm(pol, flows=2, segments=4)
+    for pid in range(4):
+        slot, _ = pqm.admit_enqueue(0, eop=True, pid=pid)
+        assert not isinstance(slot, DroppedSegment)
+    # buffer full: the header and trailer buffers are dropped, not raised
+    head, trace = pqm.append_head(0, pid=0)
+    assert isinstance(head, DroppedSegment) and trace == []
+    tail, trace = pqm.append_tail(0, length=8, pid=3)
+    assert isinstance(tail, DroppedSegment) and trace == []
+    assert pol.stats.dropped_segments == 2
+    assert pqm.queued_packets(0) == 4 and pqm.queued_segments(0) == 4
 
 
 def test_lqd_append_does_not_evict_its_own_target_packet():

@@ -65,6 +65,24 @@ def test_fast_flagged_scenarios_build_no_simulator(monkeypatch):
         Runner().run(name, fast=True, engine="fast")
 
 
+def test_unflagged_scenarios_build_no_simulator(monkeypatch):
+    """The DES kernel is the reference engine only: a scenario without
+    the engine knob runs on its only path (closed forms, structural
+    builds, the functional QoS queues) with ``Simulator.__init__``
+    refused. With the flagged test above this covers every scenario."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unflagged scenario built a simulator")
+
+    monkeypatch.setattr("repro.sim.kernel.Simulator.__init__", refuse)
+    scenarios = all_scenarios()
+    assert len(scenarios) == 44
+    unflagged = [name for name, scenario in scenarios.items()
+                 if scenario.spec.fastpath == "none"]
+    assert unflagged
+    for name in unflagged:
+        Runner().run(name, fast=True)
+
+
 def test_spec_rejects_bad_fastpath_values():
     with pytest.raises(ValueError, match="fastpath"):
         ScenarioSpec(name="x", kind="table", title="t", workload="mms",

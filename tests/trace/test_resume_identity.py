@@ -1,10 +1,10 @@
 """Resume-identity for traces: split runs fold byte-identical spans.
 
 The trace collector's fold state rides the checkpoint envelope (exact
-snapshots on the stream path, replay re-accumulation on the kernel
-path), so a run split at any rest point must produce a byte-identical
-trace snapshot to an unbroken run -- the same contract the telemetry
-fold already honors.
+stream snapshots), so a run split at any rest point must produce a
+byte-identical trace snapshot to an unbroken run -- the same contract
+the telemetry fold already honors -- and to the unbroken DES-kernel
+reference run.
 """
 
 import dataclasses
@@ -16,13 +16,13 @@ import pytest
 from repro.checkpoint import (
     Checkpoint,
     CheckpointError,
-    KernelRun,
     StreamRun,
     overload_params,
 )
 from repro.policies import PolicySpec
-from repro.telemetry import TelemetrySpec
-from repro.trace import TraceSpec
+from repro.policies.harness import run_overload
+from repro.telemetry import MmsTelemetry, ProbeChain, TelemetrySpec
+from repro.trace import TraceCollector, TraceSpec
 
 LATENCY_POLICIES = (
     PolicySpec("taildrop"),
@@ -38,10 +38,10 @@ def _cfg(policy):
                                policy_seed=11, policy_records=True)
 
 
-def _params(policy, **kw):
+def _params(policy):
     return overload_params(_cfg(policy), "burst", num_arrivals=240,
                            active_flows=32, telemetry=TelemetrySpec(),
-                           trace=TraceSpec(), **kw)
+                           trace=TraceSpec())
 
 
 def _observed(run):
@@ -75,44 +75,26 @@ def test_stream_split_trace_identical(policy):
         assert _observed(resumed) == base
 
 
-@pytest.mark.parametrize("policy", LATENCY_POLICIES[::3],
-                         ids=lambda p: p.name)
-def test_kernel_split_trace_identical(policy):
-    params = _params(policy, engine_label="reference")
-    whole = KernelRun.fresh("overload", params)
-    base = _observed(whole)
-    span = _span(whole)
-    run = KernelRun.fresh("overload", params)
-    run.run(random.Random(len(policy.name)).randrange(1, span))
-    blob = run.checkpoint().to_json()
-    resumed = KernelRun.resume(Checkpoint.from_json(blob))
-    assert _observed(resumed) == base
-
-
-def test_kernel_and_stream_split_traces_agree():
-    """The resumed runs of the two engines still agree with each
-    other (trace identity survives both checkpoint disciplines)."""
+def test_stream_split_trace_matches_the_unbroken_reference():
+    """A split-and-resumed stream run folds the trace and telemetry of
+    the unbroken DES-kernel run (trace identity survives the split and
+    the engine)."""
     policy = PolicySpec("lqd")
-    s_run = StreamRun.fresh("overload", _params(policy))
-    k_run = KernelRun.fresh("overload",
-                            _params(policy, engine_label="reference"))
-    split = _span_of_fresh(policy) // 2
-    s_run.run(split)
-    k_run.run(split)
-    s_resumed = StreamRun.resume(
-        Checkpoint.from_json(s_run.checkpoint().to_json()))
-    k_resumed = KernelRun.resume(
-        Checkpoint.from_json(k_run.checkpoint().to_json()))
-    s_resumed.finish()
-    k_resumed.finish()
-    assert json.dumps(s_resumed.tracer.snapshot().to_dict()) == \
-        json.dumps(k_resumed.tracer.snapshot().to_dict())
-
-
-def _span_of_fresh(policy):
+    telemetry = MmsTelemetry(TelemetrySpec())
+    tracer = TraceCollector(TraceSpec())
+    run_overload(policy, "burst", num_arrivals=240, active_flows=32,
+                 seed=11, engine="reference", keep_records=True,
+                 probe=ProbeChain([telemetry, tracer]))
     run = StreamRun.fresh("overload", _params(policy))
-    run.finish()
-    return _span(run)
+    run.run(telemetry.state_dict()["series"][-1][0] // 2)
+    resumed = StreamRun.resume(
+        Checkpoint.from_json(run.checkpoint().to_json()))
+    resumed.finish()
+    assert tracer.snapshot().counters["completed"] > 0
+    assert json.dumps(resumed.tracer.snapshot().to_dict()) == \
+        json.dumps(tracer.snapshot().to_dict())
+    assert json.dumps(resumed.telemetry.snapshot().to_dict()) == \
+        json.dumps(telemetry.snapshot().to_dict())
 
 
 def test_checkpoint_and_params_must_agree_about_tracing():
