@@ -1,7 +1,8 @@
-"""Benchmark suite: every module regenerates a published artifact.
+"""Benchmarks: the ledger (``python -m benchmarks.ledger``) holds the
+metrics of record, and ``benchmarks/gates.py`` the speedup and serve
+floors the ledger has no field for.
 
-Making this a package lets the ``bench_*`` modules import shared helpers
-as ``benchmarks.bench_common`` regardless of the current working
-directory -- pytest puts the repository root (the package parent) on
-``sys.path`` when collecting package-resident files.
+Being a package lets pytest collect ``benchmarks/ledger/test_ledger.py``
+as ``benchmarks.ledger.test_ledger`` and lets the tests import
+``benchmarks.gates``.
 """

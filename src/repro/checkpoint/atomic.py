@@ -1,8 +1,8 @@
 """Crash-safe file persistence: write-temp-then-rename.
 
 Every artifact the repo persists -- ``--json`` result documents,
-``BENCH_1.json`` trajectories, sweep journal entries, checkpoint files
--- goes through these two helpers.  The temp file lives in the target's
+sweep journal entries, checkpoint files, cached serve results -- goes
+through these two helpers.  The temp file lives in the target's
 directory (``os.replace`` must not cross filesystems) and is fsynced
 before the rename, so a reader never observes a truncated or corrupt
 artifact: either the old content or the complete new one.

@@ -31,9 +31,9 @@ No ``Access`` objects, no DES processes, no per-access method dispatch.
 Equivalence is not aspirational: ``tests/mem/test_fastpath.py`` asserts
 field-for-field equal :class:`~repro.mem.sched.ScheduleResult` outputs
 and the same final RNG state against the reference engine across bank
-counts, seeds, history depths, timings and both ablation flags, and the
-benchmark harness re-checks the Table 1 values whenever it records a
-speedup.
+counts, seeds, history depths, timings and both ablation flags, and
+``benchmarks/gates.py`` requires equal Table 1 metrics from both
+engines whenever it times the speedup.
 """
 
 from __future__ import annotations

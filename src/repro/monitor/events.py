@@ -1,13 +1,12 @@
 """Structured run-event log: append-only JSONL of lifecycle events.
 
 Every fleet-level actor -- the :class:`~repro.scenarios.runner.Runner`,
-the fault-tolerant sweep pool (:mod:`repro.checkpoint.pool`),
-``checkpoint-run`` (:mod:`repro.checkpoint.runs`) and the benchmark
-driver (``benchmarks/run_benchmarks.py``) -- reports its lifecycle
-through one :class:`EventSink`: typed :class:`Event` records appended
-as single JSON lines to ``events.jsonl``.  The format is the
-operational substrate the ``watch`` / ``sweep-status`` CLI and the
-future ``repro.serve`` daemon read.
+the fault-tolerant sweep pool (:mod:`repro.checkpoint.pool`) and
+``checkpoint-run`` (:mod:`repro.checkpoint.runs`) -- reports its
+lifecycle through one :class:`EventSink`: typed :class:`Event` records
+appended as single JSON lines to ``events.jsonl``.  The format is the
+operational substrate the ``watch`` / ``sweep-status`` / ``report``
+CLI reads.
 
 Design constraints, in order:
 
@@ -19,8 +18,8 @@ Design constraints, in order:
   exactly that);
 * **structurally absent when disabled** -- nothing constructs a sink
   unless monitoring is on: no sink, no event objects, no clock reads,
-  no import of this module from any hot path (the bench_monitor gate
-  asserts this);
+  no import of this module from any hot path
+  (``tests/scenarios/test_off_path.py`` asserts this);
 * **exact round-trip** -- ``Event.from_dict(e.to_dict()) == e`` for
   every event, and :func:`validate_event_dict` names every problem in
   a foreign document instead of deserializing garbage.
@@ -44,8 +43,7 @@ from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
 EVENT_SCHEMA = 1
 
 #: What the event is about.
-EVENT_KINDS: Tuple[str, ...] = ("run", "sweep", "task", "checkpoint",
-                                "bench")
+EVENT_KINDS: Tuple[str, ...] = ("run", "sweep", "task", "checkpoint")
 
 #: Lifecycle transitions an event can report.
 EVENT_ACTIONS: Tuple[str, ...] = ("start", "progress", "retry", "finish",

@@ -16,8 +16,8 @@ terminal number.
 
 The profiler is slow-path machinery: it is constructed only when
 monitoring is enabled (``Runner(... resources=...)``, pool
-``resources=True``, benchmark provenance) and never imported from any
-hot path -- the ``bench_monitor`` gate asserts that.
+``resources=True``) and never imported from any hot path --
+``tests/scenarios/test_off_path.py`` asserts that.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
 """Packet abstraction shared by every model in the repo.
 
-A :class:`Packet` is deliberately minimal: identity, flow, length and a
-free-form ``fields`` mapping for application state (MAC addresses, VLAN
-tags, IP 5-tuples...).  The models never inspect payload bytes -- the
-paper's systems move segments, not semantics -- so no payload is stored.
+A :class:`Packet` is deliberately minimal: identity, flow and length.
+The models never inspect headers or payload bytes -- the paper's
+systems move segments, not semantics -- so neither is stored.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict
 
 #: The fixed segment size every system in the paper uses: "the incoming
 #: data items are partitioned into fixed size segments of 64 bytes each".
@@ -33,15 +31,11 @@ class Packet:
         managers map each packet to a flow queue.
     pid:
         Unique packet id (auto-assigned).
-    fields:
-        Free-form header fields (addresses, tags) a caller may carry
-        with the packet; no model in :mod:`repro` reads them.
     """
 
     length_bytes: int
     flow_id: int = 0
     pid: int = field(default_factory=lambda: next(_packet_ids))
-    fields: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.length_bytes <= 0:
@@ -61,17 +55,6 @@ class Packet:
         if rem:
             lengths.append(rem)
         return lengths
-
-    def with_fields(self, **updates: Any) -> "Packet":
-        """Copy of this packet with ``fields`` updated (headers rewritten).
-
-        Identity (pid) is preserved, as the MMS overwrite command
-        modifies segments in place.
-        """
-        merged = dict(self.fields)
-        merged.update(updates)
-        return Packet(length_bytes=self.length_bytes, flow_id=self.flow_id,
-                      pid=self.pid, fields=merged)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Packet(pid={self.pid}, flow={self.flow_id}, len={self.length_bytes})"

@@ -26,7 +26,7 @@ declines), ``"reference"`` the heapq kernel.  The machines are
 trace-identical, and the policy decisions are a pure function of
 (seed, arrival order), so the drop/accept counters are byte-identical
 across engines -- asserted by the equivalence tests, the differential
-fuzz suite and the benchmark gate.
+fuzz suite and the CI overload smoke.
 """
 
 from __future__ import annotations

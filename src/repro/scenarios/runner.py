@@ -1,8 +1,8 @@
 """The Runner: execute a scenario spec, return a typed result.
 
 The Runner is the single execution path for every published artifact:
-the CLI, the benchmarks, the deprecated ``run_tableN`` shims and the
-examples all funnel through :meth:`Runner.run`.  Knob overrides
+the CLI, the serving daemon, the benchmarks and the examples all funnel
+through :meth:`Runner.run`.  Knob overrides
 (``engine``, ``seed``, ``budget``/``fast``, ``mms``) are applied through
 :meth:`ScenarioSpec.with_options`, so each scenario honors exactly the
 knobs it declares.
@@ -28,8 +28,8 @@ class Runner:
     when present, every run emits ``run.start`` / ``run.finish`` /
     ``run.fail`` lifecycle events to it.  Like every monitoring knob it
     defaults to off, and the plain path never imports
-    :mod:`repro.monitor` at all (the ``bench_monitor`` gate asserts
-    this structurally).
+    :mod:`repro.monitor` at all (``tests/scenarios/test_off_path.py``
+    asserts this structurally).
     """
 
     def __init__(self, events=None) -> None:

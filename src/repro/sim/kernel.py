@@ -142,11 +142,6 @@ class Simulator:
         """Create a fresh (untriggered) event bound to this simulator."""
         return Event(self, name)
 
-    @property
-    def pending_events(self) -> int:
-        """Scheduled resumes not yet executed (stale entries included)."""
-        return len(self._heap)
-
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the schedule empties, ``until_ps`` is reached, or
         ``max_events`` steps executed.  Returns the final simulated time."""

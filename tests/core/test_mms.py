@@ -105,6 +105,31 @@ def test_all_table4_commands_execute_end_to_end():
     drive(mms, cmds)
     assert mms.commands_executed == 9
 
+def test_mixed_enqueue_dequeue_stream_averages_10_5_cycles():
+    """400 commands, alternating enqueue and dequeue on two ports: the
+    mean execution time is Table 4's 10.5 cycles."""
+    mms = MMS(MmsConfig(num_flows=256, num_segments=4096,
+                        num_descriptors=2048))
+    mms.prefill(range(32), packets_per_flow=8)
+
+    def feeder():
+        for i in range(200):
+            yield from mms.submit(0, Command(type=CommandType.ENQUEUE,
+                                             flow=i % 32, eop=True))
+            yield from mms.submit(1, Command(type=CommandType.DEQUEUE,
+                                             flow=i % 32))
+
+    mms.sim.spawn(feeder())
+    mms.sim.run()
+    assert mms.commands_executed == 400
+    records = mms.latency_records(mms.now)
+    assert sum(r[2] for r in records) / len(records) == \
+        pytest.approx(10.5, abs=0.01)
+
+def test_default_mms_is_built_at_paper_scale():
+    """Figure 2 at the paper's 32K flows."""
+    assert MMS().pqm.num_flows == 32 * 1024
+
 def test_conservation_through_mixed_workload():
     mms = MMS(SMALL)
     mms.prefill(range(16), packets_per_flow=2)
@@ -180,6 +205,23 @@ def test_low_load_row_matches_table5():
     assert r.fifo_cycles == pytest.approx(20, abs=4)
     assert r.data_cycles == pytest.approx(28, abs=3.5)
     assert r.total_cycles == pytest.approx(58.5, abs=6)
+
+def test_mid_load_row_matches_table5():
+    """3.2 Gbps row: total 59.6 cycles."""
+    r = run_load(3.2, num_volleys=600, config=LOAD_CFG, warmup_volleys=100)
+    assert r.total_cycles == pytest.approx(59.6, abs=6)
+
+def test_serializing_data_path_delays_completion_at_light_load():
+    """Section 6.1: data accesses start right after the first pointer
+    access. Serializing them adds most of the execution latency to
+    every command's completion, even unloaded."""
+    e2e = {}
+    for overlap in (True, False):
+        cfg = MmsConfig(num_flows=1024, num_segments=8192,
+                        num_descriptors=4096, overlap_data=overlap)
+        e2e[overlap] = run_load(1.6, num_volleys=600, warmup_volleys=100,
+                                config=cfg).end_to_end_cycles
+    assert e2e[False] > e2e[True] + 5
 
 def test_delays_grow_with_load():
     lo = run_load(1.6, num_volleys=600, config=LOAD_CFG, warmup_volleys=100)

@@ -34,7 +34,7 @@ def test_round_trip_is_exact():
         Event(kind="checkpoint", action="progress", name="overload",
               elapsed_s=2.0, t_wall=102.0,
               extra={"at_ps": 2_000_000, "count": 1}),
-        Event(kind="bench", action="finish", name="bench_monitor",
+        Event(kind="run", action="finish", name="table5",
               elapsed_s=3.0, t_wall=103.0, scenario="table5",
               engine="fast", seed=7),
     ]
@@ -83,7 +83,7 @@ def test_from_dict_rejects_invalid_documents():
 
 
 def test_kind_and_action_vocabularies_are_frozen():
-    assert EVENT_KINDS == ("run", "sweep", "task", "checkpoint", "bench")
+    assert EVENT_KINDS == ("run", "sweep", "task", "checkpoint")
     assert EVENT_ACTIONS == ("start", "progress", "retry", "finish",
                              "fail")
 

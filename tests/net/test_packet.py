@@ -27,13 +27,6 @@ def test_pids_unique():
     a, b = Packet(64), Packet(64)
     assert a.pid != b.pid
 
-def test_with_fields_preserves_identity():
-    p = Packet(64, flow_id=3, fields={"dst": "a"})
-    q = p.with_fields(dst="b", vlan=5)
-    assert q.pid == p.pid
-    assert q.fields == {"dst": "b", "vlan": 5}
-    assert p.fields == {"dst": "a"}  # original untouched
-
 def test_validation():
     with pytest.raises(ValueError):
         Packet(0)

@@ -18,6 +18,10 @@ def params():
 def test_dequeue_free_list_is_34_cycles(model, params):
     assert model.free_pop.cpu_cycles(params) == 34
 
+def test_free_pop_is_derived_from_two_plb_reads(model):
+    """The cost model counts the accesses of a live free-list pop."""
+    assert model.free_pop.plb_reads == 2
+
 def test_enqueue_segment_first_is_46_cycles(model, params):
     assert model.link_first.cpu_cycles(params) == 46
 
@@ -75,6 +79,11 @@ def test_line_transactions_reach_about_200mbps(model):
     200 Mbps throughput'."""
     gbps = model.full_duplex_gbps(CopyStrategy.LINE)
     assert 0.18 <= gbps <= 0.23
+
+def test_line_transactions_roughly_double_word_throughput(model):
+    line = model.full_duplex_gbps(CopyStrategy.LINE)
+    word = model.full_duplex_gbps(CopyStrategy.WORD)
+    assert line > 1.8 * word
 
 def test_dma_throughput_similar_to_line(model):
     """Section 5.3: 'the overall throughput does not increase

@@ -76,6 +76,20 @@ def test_cache_survives_service_restart(tmp_path):
     assert again.result == a.get(record.run_id).result
 
 
+def test_cold_cache_rerun_is_byte_identical(tmp_path):
+    """A second service with its own, empty cache re-simulates the run
+    and reproduces the first service's result byte for byte."""
+    results = []
+    for name in ("a", "b"):
+        service = ScenarioService(str(tmp_path / f"spool-{name}"),
+                                  cache_dir=str(tmp_path / f"cache-{name}"))
+        record = service.submit("latency-lqd-burst", budget="fast")
+        assert not record.cached
+        results.append(service.execute(record.run_id).result)
+    assert json.dumps(results[0], sort_keys=True) == json.dumps(
+        results[1], sort_keys=True)
+
+
 def test_different_knobs_miss_the_cache(service):
     first = service.submit("latency-lqd-burst", budget="fast")
     service.execute(first.run_id)

@@ -181,25 +181,11 @@ def test_stale_entries_skipped_lazily():
     assert proc.done
     # schedule a resume for the dead process directly (kernel internals)
     sim._push(sim.now + 5, proc, None)
-    assert sim.pending_events == 1
+    assert len(sim._heap) == 1
     sim.run()
     assert sim.stale_skips == 1
-    assert sim.pending_events == 0
+    assert len(sim._heap) == 0
     assert ran == [0]
-
-def test_pending_events_counter_tracks_schedule():
-    sim = Simulator()
-
-    def body():
-        yield 10
-        yield 20
-
-    sim.spawn(body())
-    assert sim.pending_events == 1
-    sim.run(until_ps=10)
-    assert sim.pending_events == 1  # the resume at t=30 is scheduled
-    sim.run()
-    assert sim.pending_events == 0
 
 def test_bad_yield_type_raises():
     sim = Simulator()
