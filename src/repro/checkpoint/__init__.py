@@ -42,10 +42,8 @@ from repro.checkpoint.pool import (
 from repro.checkpoint.runs import (
     STREAM_WORKLOADS,
     StreamRun,
-    load_params,
     overload_params,
     run_with_checkpoints,
-    saturation_params,
     script_params,
 )
 from repro.checkpoint.snapshot import (
@@ -79,14 +77,12 @@ __all__ = [
     "TaskFailure",
     "config_from_dict",
     "config_to_dict",
-    "load_params",
     "maybe_fault",
     "overload_params",
     "read_json",
     "restore_stream",
     "run_tasks",
     "run_with_checkpoints",
-    "saturation_params",
     "script_params",
     "snapshot_stream",
     "telemetry_spec_from_dict",

@@ -2,15 +2,14 @@
 
 A :class:`StreamRun` owns one :class:`~repro.engines.stream.StreamMms`
 workload end to end -- build, incremental execution, snapshot, resume,
-result assembly -- for the four workload families the plain harnesses
-run (``load``, ``saturation``, ``overload``) plus free-form ``script``
-runs (the fuzz suite's mixed-op streams).  It is the *only* place the
-checkpoint machinery touches the feeder path: it wraps every workload
-generator in a :class:`~repro.checkpoint.feeders.CountedFeeder` with an
-observation :class:`~repro.checkpoint.feeders.Tape`, while the plain
-harnesses keep handing raw generators to the engine -- so checkpoint
-support is structurally absent from normal runs, the same gating
-discipline as telemetry probes.
+result assembly -- for the ``overload`` family and free-form
+``script`` runs (the fuzz suite's mixed-op streams).  It is the *only*
+place the checkpoint machinery touches the feeder path: it wraps every
+workload generator in a :class:`~repro.checkpoint.feeders.CountedFeeder`
+with an observation :class:`~repro.checkpoint.feeders.Tape`, while the
+plain harnesses keep handing raw generators to the engine -- so
+checkpoint support is structurally absent from normal runs, the same
+gating discipline as telemetry probes.
 
 The resume-identity contract: a run split at any rest point and resumed
 from the JSON checkpoint produces byte-identical traces, DropRecords,
@@ -20,9 +19,11 @@ fuzzes this over random split points).  Three ingredients deliver it:
 * the machine state restores exactly (:mod:`.stream_state`),
 * the feeders re-reach their suspension points by tape replay
   (:mod:`.feeders`),
-* the results are assembled by the *same* functions the harnesses use
-  (:mod:`repro.engines.harnesses`), so there is no second copy of the
-  warm-up windowing or counter arithmetic to drift.
+* the overload feeders, horizon and result come from the *same*
+  functions the plain driver uses
+  (:func:`repro.engines.harnesses.overload_feeders`,
+  :func:`~repro.engines.harnesses.assemble_overload_result`), so there
+  is no second copy of the wiring or counter arithmetic to drift.
 
 Params are plain JSON dicts (built by the ``*_params`` helpers) and
 ride inside the :class:`~repro.checkpoint.snapshot.Checkpoint`
@@ -47,15 +48,14 @@ from repro.checkpoint.snapshot import (
     trace_spec_from_dict,
     trace_spec_to_dict,
 )
-from repro.checkpoint.stream_state import restore_stream, snapshot_stream
+from repro.checkpoint.stream_state import (
+    FeederFactory,
+    restore_stream,
+    snapshot_stream,
+)
 from repro.core.commands import CommandType
 from repro.core.mms import MmsConfig
-from repro.core.workloads import (
-    load_feed_ops,
-    overload_drain_ops,
-    overload_feed_ops,
-    saturation_feed_ops,
-)
+from repro.core.workloads import Counters
 from repro.engines import harnesses
 from repro.engines.stream import StreamMms
 from repro.telemetry.collector import MmsTelemetry
@@ -63,47 +63,10 @@ from repro.telemetry.probe import Probe, ProbeChain, TelemetrySpec
 from repro.trace.spans import TraceCollector, TraceSpec
 
 #: Workload families a StreamRun can drive.
-STREAM_WORKLOADS = ("load", "saturation", "overload", "script")
+STREAM_WORKLOADS = ("overload", "script")
 
 
 # ==================================================== params builders
-
-def load_params(config: MmsConfig, *, offered_gbps: float,
-                num_volleys: int, active_flows: int, warmup_volleys: int,
-                burst_len: int, burst_prob: float, seed: int,
-                telemetry: Optional[TelemetrySpec] = None,
-                trace: Optional[TraceSpec] = None) -> Dict[str, Any]:
-    """Params dict for a Table 5 load run (one offered load)."""
-    return {
-        "config": config_to_dict(config),
-        "telemetry": None if telemetry is None
-        else telemetry_spec_to_dict(telemetry),
-        "trace": None if trace is None else trace_spec_to_dict(trace),
-        "offered_gbps": offered_gbps,
-        "num_volleys": num_volleys,
-        "active_flows": active_flows,
-        "warmup_volleys": warmup_volleys,
-        "burst_len": burst_len,
-        "burst_prob": burst_prob,
-        "seed": seed,
-    }
-
-
-def saturation_params(config: MmsConfig, *, num_commands: int,
-                      active_flows: int,
-                      telemetry: Optional[TelemetrySpec] = None,
-                      trace: Optional[TraceSpec] = None
-                      ) -> Dict[str, Any]:
-    """Params dict for a headline-saturation run."""
-    return {
-        "config": config_to_dict(config),
-        "telemetry": None if telemetry is None
-        else telemetry_spec_to_dict(telemetry),
-        "trace": None if trace is None else trace_spec_to_dict(trace),
-        "num_commands": num_commands,
-        "active_flows": active_flows,
-    }
-
 
 def overload_params(config: MmsConfig, shape: str, *, num_arrivals: int,
                     active_flows: int,
@@ -169,8 +132,7 @@ def _decode_op(op: Any) -> Any:
     return (CommandType(op[0]), op[1], op[2], op[3], op[4])
 
 
-def _script_feeder(ops: Sequence[Any],
-                   counters: CounterView,
+def _script_feeder(ops: Sequence[Any], counters: Counters,
                    mark_done: bool) -> Iterator[Any]:
     """A decoded script as a feeder generator, with the overload
     feeders' trailing done-handshake when requested."""
@@ -178,6 +140,13 @@ def _script_feeder(ops: Sequence[Any],
         yield op
     if mark_done:
         counters["feeders_done"] = counters.get("feeders_done", 0) + 1
+
+
+def _script_factory(ops: Sequence[Any],
+                    mark_done: bool) -> harnesses.FeederFactory:
+    def factory(wrap: harnesses.Wrap, counters: Counters) -> Iterator[Any]:
+        return _script_feeder(ops, counters, mark_done)
+    return factory
 
 
 def _build_probes(params: Dict[str, Any]) -> Tuple[
@@ -212,8 +181,8 @@ class StreamRun:
     Build with :meth:`fresh` or :meth:`resume`, advance with
     :meth:`run`, snapshot with :meth:`checkpoint` at any rest point
     (between :meth:`run` calls), and finish with :meth:`finish` --
-    which runs to the workload's horizon and assembles the exact
-    harness result object.
+    which runs to the workload's :attr:`horizon` and assembles the
+    exact harness result object.
     """
 
     def __init__(self, workload: str, params: Dict[str, Any], *,
@@ -227,6 +196,9 @@ class StreamRun:
         self.telemetry, self.tracer, self.probe = _build_probes(params)
         self.eng = StreamMms(self.config, probe=self.probe)
         self.store: Dict[str, int] = {}
+        wiring, self.horizon = self._wiring()
+        self._factories = [(port, self._taped(factory))
+                           for port, factory in wiring]
 
         if _resume_state is None:
             self._build_fresh()
@@ -237,7 +209,7 @@ class StreamRun:
 
     @classmethod
     def fresh(cls, workload: str, params: Dict[str, Any]) -> "StreamRun":
-        """Start the workload from scratch (prefill + feeders)."""
+        """Start the workload from scratch."""
         return cls(workload, params)
 
     @classmethod
@@ -248,24 +220,37 @@ class StreamRun:
 
     # ---------------------------------------------------------- plumbing
 
-    def _build_fresh(self) -> None:
+    def _wiring(self) -> Tuple[List[Tuple[int, harnesses.FeederFactory]],
+                               int]:
+        """The workload's ``(port, factory)`` list in attach order, and
+        its run horizon: the plain overload driver's own wiring, or the
+        scripts (plus an overload drain) and the horizon in the
+        params."""
         p = self.params
-        if self.workload == "load":
-            self.eng.prefill(
-                range(p["active_flows"]),
-                packets_per_flow=harnesses.load_prefill_packets(
-                    p["active_flows"]))
-        elif self.workload == "saturation":
-            per_port = p["num_commands"] // 4
-            self.eng.prefill(
-                range(p["active_flows"]),
-                packets_per_flow=harnesses.saturation_prefill_packets(
-                    per_port, p["active_flows"]))
-        elif self.workload == "overload":
+        if self.workload == "overload":
+            return harnesses.overload_feeders(
+                self.eng, p["shape"], p["num_arrivals"], p["active_flows"])
+        wiring = [(port, _script_factory([_decode_op(op) for op in encoded],
+                                         p["mark_done"]))
+                  for port, encoded in enumerate(p["scripts"])]
+        if p["drain"]:
+            wiring.append((len(p["scripts"]), harnesses.overload_drain(
+                self.eng, p["drain_active_flows"], p["drain_period_ps"])))
+        horizon: int = p["horizon_ps"]
+        return wiring, horizon
+
+    def _taped(self, factory: harnesses.FeederFactory) -> FeederFactory:
+        """``factory`` with every environment read wired through the
+        feeder's tape, so a rebuilt feeder replays to its recorded
+        suspension point."""
+        def build(tape: Tape) -> Iterator[Any]:
+            return factory(tape.wrap, CounterView(self.store, tape))
+        return build
+
+    def _build_fresh(self) -> None:
+        if self.workload == "overload" or self.params["drain"]:
             self.store["dequeued"] = 0
-        elif self.workload == "script" and p["drain"]:
-            self.store["dequeued"] = 0
-        for port, factory in self._feeders():
+        for port, factory in self._factories:
             tape = Tape()
             self.eng.add_feeder(port, CountedFeeder(factory(tape), tape))
 
@@ -283,107 +268,14 @@ class StreamRun:
                 "checkpoint and params disagree about tracing")
         if self.tracer is not None:
             self.tracer.load_state(trace_state)
-        factories = [factory for _port, factory in self._feeders()]
-        restore_stream(self.eng, state["machine"], factories)
-
-    def _feeders(self) -> List[Tuple[int, Callable[[Tape], Iterator[Any]]]]:
-        """The workload's ``(port, factory)`` list, in the exact attach
-        order of the plain harnesses.  Factories take the feeder's tape
-        and wire every environment read through it, so a rebuilt feeder
-        replays to its recorded suspension point."""
-        p = self.params
-        eng = self.eng
-        out: List[Tuple[int, Callable[[Tape], Iterator[Any]]]] = []
-
-        if self.workload == "load":
-            period = harnesses.load_volley_period_ps(p["offered_gbps"])
-
-            def now() -> int:
-                return eng.now
-
-            for port, (enqueue, phase) in enumerate(harnesses.FOUR_PORTS):
-                def factory(tape: Tape, port: int = port,
-                            enqueue: bool = enqueue,
-                            phase: int = phase) -> Iterator[Any]:
-                    return load_feed_ops(
-                        tape.wrap(now), port, enqueue, phase,
-                        p["num_volleys"], period, p["active_flows"],
-                        p["burst_len"], p["burst_prob"], p["seed"])
-                out.append((port, factory))
-
-        elif self.workload == "saturation":
-            per_port = p["num_commands"] // 4
-            for port, (enqueue, phase) in enumerate(harnesses.FOUR_PORTS):
-                def factory(tape: Tape, enqueue: bool = enqueue,
-                            phase: int = phase) -> Iterator[Any]:
-                    # pure feeder: the tape stays empty, which is itself
-                    # verified by end_replay on resume
-                    return saturation_feed_ops(enqueue, phase, per_port,
-                                               p["active_flows"])
-                out.append((port, factory))
-
-        elif self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                eng.clock)
-            per_port = p["num_arrivals"] // 3
-            for port in range(3):
-                def factory(tape: Tape, port: int = port) -> Iterator[Any]:
-                    return overload_feed_ops(
-                        p["shape"], port, per_port, p["active_flows"],
-                        enq_period, CounterView(self.store, tape))
-                out.append((port, factory))
-
-            def drain_factory(tape: Tape) -> Iterator[Any]:
-                return overload_drain_ops(
-                    tape.wrap(eng.pqm.queued_packets),
-                    p["active_flows"], drain_period,
-                    CounterView(self.store, tape))
-            out.append((3, drain_factory))
-
-        else:  # script
-            for port, encoded in enumerate(p["scripts"]):
-                ops = [_decode_op(op) for op in encoded]
-                def factory(tape: Tape,
-                            ops: List[Any] = ops) -> Iterator[Any]:
-                    return _script_feeder(ops,
-                                          CounterView(self.store, tape),
-                                          p["mark_done"])
-                out.append((port, factory))
-            if p["drain"]:
-                def drain_factory(tape: Tape) -> Iterator[Any]:
-                    return overload_drain_ops(
-                        tape.wrap(eng.pqm.queued_packets),
-                        p["drain_active_flows"], p["drain_period_ps"],
-                        CounterView(self.store, tape))
-                out.append((len(p["scripts"]), drain_factory))
-
-        return out
+        restore_stream(self.eng, state["machine"],
+                       [factory for _port, factory in self._factories])
 
     # ----------------------------------------------------------- running
 
     @property
     def now(self) -> int:
         return self.eng.now
-
-    @property
-    def horizon(self) -> int:
-        """The workload's run horizon (the same formula the plain
-        harness uses; ``script`` runs carry theirs in the params)."""
-        p = self.params
-        if self.workload == "load":
-            return harnesses.load_horizon_ps(
-                p["num_volleys"],
-                harnesses.load_volley_period_ps(p["offered_gbps"]))
-        if self.workload == "saturation":
-            return harnesses.SATURATION_HORIZON_PS
-        if self.workload == "overload":
-            drain_period, enq_period = harnesses.overload_pacing_ps(
-                self.eng.clock)
-            return harnesses.overload_horizon_ps(
-                p["num_arrivals"], enq_period, self.config.num_segments,
-                drain_period)
-        horizon: int = p["horizon_ps"]
-        return horizon
 
     def run(self, until_ps: int) -> None:
         """Advance the machine to ``until_ps`` (a rest point: safe to
@@ -414,18 +306,12 @@ class StreamRun:
         when the DES kernel could checkpoint too may carry an
         ``engine_label`` key; it is ignored."""
         horizon = self.horizon
-        eng, p, probe = self.eng, self.params, self.probe
+        eng, probe = self.eng, self.probe
         eng.run(horizon)
-        if self.workload == "load":
-            return harnesses.assemble_load_result(
-                eng, probe, horizon, p["warmup_volleys"],
-                p["offered_gbps"])
-        if self.workload == "saturation":
-            return harnesses.assemble_saturation_result(eng, probe, horizon)
         if self.workload == "overload":
             return harnesses.assemble_overload_result(
-                eng, self.config, p["shape"], self.store, horizon,
-                probe=probe)
+                eng, self.config, self.params["shape"], self.store,
+                horizon, probe=probe)
         if probe is not None:
             harnesses.replay_records(eng, probe, horizon)
         return {

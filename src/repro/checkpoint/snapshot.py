@@ -132,7 +132,7 @@ def validate_checkpoint_dict(d: Mapping[str, Any]) -> List[str]:
 _CONFIG_SCALARS = (
     "clock_mhz", "num_flows", "num_segments", "num_descriptors",
     "num_banks", "reorder_window", "dmc_pipeline_ns", "strict_microcode",
-    "keep_samples", "overlap_data", "policy_seed", "policy_records",
+    "overlap_data", "policy_seed", "policy_records",
 )
 
 _POLICY_FIELDS = ("name", "per_queue_limit", "alpha", "red_min_frac",
@@ -150,7 +150,9 @@ def config_to_dict(config: MmsConfig) -> Dict[str, Any]:
 
 def config_from_dict(d: Mapping[str, Any]) -> MmsConfig:
     """Rebuild the exact :class:`MmsConfig` from
-    :func:`config_to_dict` output (dataclass validation re-runs)."""
+    :func:`config_to_dict` output (dataclass validation re-runs).  Keys
+    of retired fields (``keep_samples``) in older documents are
+    ignored."""
     ports = tuple(PortConfig(name=p[0], priority=p[1], fifo_depth=p[2])
                   for p in d["ports"])
     policy = None if d["policy"] is None else PolicySpec(**d["policy"])

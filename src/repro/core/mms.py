@@ -46,7 +46,6 @@ class MmsConfig:
     dmc_pipeline_ns: int = 135
     ports: tuple[PortConfig, ...] = DEFAULT_PORTS
     strict_microcode: bool = False
-    keep_samples: bool = False
     #: Ablation A5: overlap data transfers with pointer work (the MMS
     #: design point); False serializes them.
     overlap_data: bool = True

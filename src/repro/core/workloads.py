@@ -25,12 +25,24 @@ its own clock.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Protocol, Tuple, Union
 
 from repro.core.commands import Command, CommandType
 
 #: Micro-op vocabulary (see module docstring).
 FeederOp = Union[int, Tuple[CommandType, int, Optional[int], bool, int]]
+
+
+class Counters(Protocol):
+    """The counter store the overload feeders share: the slice of
+    ``Dict[str, int]`` they use, so a plain dict or a checkpoint
+    driver's taped view both fit."""
+
+    def get(self, key: str, default: int, /) -> int: ...
+
+    def __getitem__(self, key: str, /) -> int: ...
+
+    def __setitem__(self, key: str, value: int, /) -> None: ...
 
 #: The dequeue stream of the Table 5 harness lags the enqueue stream by
 #: this many volleys, so a small per-flow backlog suffices.
@@ -114,7 +126,7 @@ def saturation_feed_ops(enqueue: bool, phase: int, per_port: int,
 
 def overload_feed_ops(shape: str, port: int, per_port: int,
                       active_flows: int, enq_period_ps: int,
-                      counters: Dict[str, int]) -> Iterator[FeederOp]:
+                      counters: Counters) -> Iterator[FeederOp]:
     """One overload ingress port, shaped per the scenario family.
 
     See :mod:`repro.policies.harness` for the shape semantics; the
@@ -146,7 +158,7 @@ def overload_feed_ops(shape: str, port: int, per_port: int,
 
 def overload_drain_ops(queued_packets: Callable[[int], int],
                        active_flows: int, drain_period_ps: int,
-                       counters: Dict[str, int]) -> Iterator[FeederOp]:
+                       counters: Counters) -> Iterator[FeederOp]:
     """The overload egress port: slow round-robin over backlogged
     flows; terminates once the feeders finished and the backlog is
     gone."""

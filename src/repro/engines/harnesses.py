@@ -21,23 +21,28 @@ Probes see ``on_command`` live at the pop instant on both machines;
 run (:func:`replay_records`), which the probe protocol's per-channel
 independence rule permits.
 
-The pacing and assembly arithmetic is factored into module functions
-(``load_volley_period_ps``, ``assemble_overload_result``, ...): the
-public harnesses (:func:`repro.core.mms.run_load`,
+The public harnesses (:func:`repro.core.mms.run_load`,
 :func:`repro.core.mms.run_saturation`,
 :func:`repro.policies.harness.run_overload`) validate their arguments
-and delegate to the drivers, and the checkpoint-aware drivers
-(:mod:`repro.checkpoint`) call the *same* functions, which is what makes
-a resumed run's result structurally identical to an unbroken one.
+and delegate to the drivers.  The overload wiring -- pacing, the three
+enqueue ports and the drain in attach order, and the horizon -- is
+written once, as the factories of :func:`overload_feeders`: the plain
+driver builds raw generators from them, and the checkpoint driver
+(:class:`repro.checkpoint.StreamRun`) builds taped ones from the same
+factories and assembles its result with the same
+:func:`assemble_overload_result`, which is what makes a resumed run's
+result structurally identical to an unbroken one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Tuple, Union
 
 from repro.core.mms import BITS_PER_OP, MMS, MmsConfig, MmsLoadResult
 from repro.core.workloads import (
     LOAD_LAG_VOLLEYS,
+    Counters,
+    FeederOp,
     load_feed_ops,
     overload_drain_ops,
     overload_feed_ops,
@@ -279,21 +284,53 @@ def assemble_overload_result(eng: Machine, cfg: MmsConfig, shape: str,
     )
 
 
-def attach_overload(eng: Machine, shape: str, num_arrivals: int,
-                    active_flows: int, counters: Dict[str, int]) -> int:
-    """Attach the overload feeders -- three shaped enqueue ports, then
-    the closed-loop drain -- and return the run horizon."""
+#: Stands in for each environment read a feeder makes (the drain's
+#: ``queued_packets`` probe).
+Wrap = Callable[[Callable[..., Any]], Callable[..., Any]]
+
+#: A feeder factory of the overload wiring: ``factory(wrap, counters)``
+#: builds the feeder generator; ``counters`` is the feeders' shared
+#: store, holding ``"dequeued"``.
+FeederFactory = Callable[[Wrap, Counters], Iterator[FeederOp]]
+
+
+def _unwrapped(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """The plain path's wrap: environment reads go straight through."""
+    return fn
+
+
+def overload_drain(eng: Machine, active_flows: int,
+                   drain_period_ps: int) -> FeederFactory:
+    """The factory of the closed-loop overload drain on ``eng``."""
+    def factory(wrap: Wrap, counters: Counters) -> Iterator[FeederOp]:
+        return overload_drain_ops(wrap(eng.pqm.queued_packets),
+                                  active_flows, drain_period_ps, counters)
+    return factory
+
+
+def overload_feeders(eng: Machine, shape: str, num_arrivals: int,
+                     active_flows: int
+                     ) -> Tuple[List[Tuple[int, FeederFactory]], int]:
+    """The overload wiring on ``eng``: ``(port, factory)`` pairs in
+    attach order -- three shaped enqueue ports, then the drain -- and
+    the run horizon.  :func:`drive_overload` calls each factory with an
+    identity wrap and a dict; the checkpoint driver calls it with a
+    feeder tape's wrap and a taped counter view, so both paths attach
+    the same feeders."""
     drain_period, enq_period = overload_pacing_ps(eng.clock)
     per_port = num_arrivals // 3
-    for port in range(3):
-        eng.add_feeder(port, overload_feed_ops(shape, port, per_port,
-                                               active_flows, enq_period,
-                                               counters))
-    eng.add_feeder(3, overload_drain_ops(eng.pqm.queued_packets,
-                                         active_flows, drain_period,
-                                         counters))
-    return overload_horizon_ps(num_arrivals, enq_period,
-                               eng.config.num_segments, drain_period)
+
+    def enqueue_port(port: int) -> FeederFactory:
+        def factory(wrap: Wrap, counters: Counters) -> Iterator[FeederOp]:
+            return overload_feed_ops(shape, port, per_port, active_flows,
+                                     enq_period, counters)
+        return factory
+
+    feeders = [(port, enqueue_port(port)) for port in range(3)]
+    feeders.append((3, overload_drain(eng, active_flows, drain_period)))
+    return feeders, overload_horizon_ps(num_arrivals, enq_period,
+                                        eng.config.num_segments,
+                                        drain_period)
 
 
 def drive_overload(cfg: MmsConfig, shape: str, *, num_arrivals: int,
@@ -305,8 +342,10 @@ def drive_overload(cfg: MmsConfig, shape: str, *, num_arrivals: int,
     validation)."""
     eng = make_machine(cfg, engine, probe)
     counters = {"dequeued": 0}
-    horizon = attach_overload(eng, shape, num_arrivals, active_flows,
-                              counters)
+    feeders, horizon = overload_feeders(eng, shape, num_arrivals,
+                                        active_flows)
+    for port, factory in feeders:
+        eng.add_feeder(port, factory(_unwrapped, counters))
     eng.run(horizon)
     return assemble_overload_result(eng, cfg, shape, counters, horizon,
                                     probe=probe, engine_label=engine)

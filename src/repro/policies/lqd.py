@@ -8,9 +8,9 @@ the arrival is dropped.  The victim's head (the HOL packet about to be
 serviced) survives whenever the victim holds more than one packet -- a
 tested invariant; a single-packet victim necessarily loses that packet.
 
-The policy names the victim; the owning queue manager performs the
-actual tail push-out (a whole tail packet in the two-level MMS
-structure, a tail segment in the flat Section 5.2 structure) and reports
+The policy names the victim; the owning queue manager -- the MMS's
+two-level :class:`~repro.queueing.packet_queues.PacketQueueManager` --
+performs the actual tail push-out of a whole tail packet and reports
 what it freed via :meth:`BufferPolicy.record_pushout`.  Queues the
 manager cannot push out (nothing published yet) come back in
 ``exclude``; when no viable victim longer than the arriving queue

@@ -17,11 +17,12 @@ which counts and (optionally) traces every pointer-SRAM access.  Platform
 models turn those traces into cycles: the PowerPC pays a PLB transaction
 per access, the MMS pays one pipelined SRAM cycle.
 
-Both managers optionally carry a buffer-management policy
-(:mod:`repro.policies`): their ``admit_enqueue`` / ``offer`` entry
-points turn enqueue-on-full into an accept / drop / push-out decision
-(returning a :class:`~repro.policies.DroppedSegment` marker on drops)
-instead of an uncaught :class:`OutOfBuffersError`.
+The packet manager optionally carries a buffer-management policy
+(:mod:`repro.policies`): its ``admit_enqueue`` entry point turns
+enqueue-on-full into an accept / drop / push-out decision (returning a
+:class:`~repro.policies.DroppedSegment` marker on drops) instead of an
+uncaught :class:`OutOfBuffersError`.  The flat segment manager carries
+none: it models the Section 5.2 sub-operations that Tables 2-3 price.
 """
 
 from repro.policies.base import DroppedSegment

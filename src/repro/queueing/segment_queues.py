@@ -30,15 +30,20 @@ The Table 3 footnote "*46 for the first segment of the packet, 68 for the
 rest" is reproduced structurally: non-first segments additionally
 accumulate the packet length into the packet's head-segment word (one
 read-modify-write), which is how a dequeuing scheduler learns the packet
-size without walking the chain.
+size without walking the chain.  Only the access is modelled, not the
+accumulated value.
+
+The manager carries no buffer-management policy: Section 5.2 prices
+the structure one sub-operation at a time, and admission, drop and
+push-out run on the MMS's two-level
+:class:`~repro.queueing.packet_queues.PacketQueueManager`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.policies.base import BufferPolicy, DroppedSegment
 from repro.queueing.errors import QueueEmptyError
 from repro.queueing.freelist import NIL, FreeList
 from repro.queueing.pointer_memory import AccessRecord, PointerMemory
@@ -68,8 +73,7 @@ class SegmentQueueManager:
     """Flat single-linked segment queues with a shared free list."""
 
     def __init__(self, num_queues: int, num_slots: int,
-                 anchors_in_memory: bool = True,
-                 policy: Optional[BufferPolicy] = None) -> None:
+                 anchors_in_memory: bool = True) -> None:
         if num_queues < 1:
             raise ValueError(f"num_queues must be >= 1, got {num_queues}")
         if num_slots < 1:
@@ -86,10 +90,7 @@ class SegmentQueueManager:
                              anchors_in_memory=anchors_in_memory,
                              next_region="next", globals_region="globals")
         self.free.initialize()
-        #: Optional buffer-management policy; :meth:`offer` consults it.
-        self.policy = policy
         self._shadow: Dict[int, SegmentMeta] = {}
-        self._pkt_len_shadow: Dict[int, int] = {}  # head slot -> packet bytes
         self._lengths = [0] * num_queues
         self.mem.reset_counters()  # initialization traffic is boot-time
 
@@ -142,21 +143,14 @@ class SegmentQueueManager:
                            self._enc(slot) | self._meta_bits(meta))
             if packet_head_slot is not None:
                 self._check_slot(packet_head_slot)
+                # the head-word read-modify-write of the Table 3
+                # footnote (see module docstring)
                 head_word = self.mem.read("next", packet_head_slot)
-                # accumulate packet length in the head word (shadowed:
-                # the packed field is too narrow for full packet sizes)
                 self.mem.write("next", packet_head_slot, head_word)
-                self._pkt_len_shadow[packet_head_slot] = (
-                    self._pkt_len_shadow.get(packet_head_slot, 0) + meta.length
-                )
         finally:
             trace = self.mem.end_trace()
         self._shadow[slot] = meta
-        if packet_head_slot is None:
-            self._pkt_len_shadow[slot] = meta.length
         self._lengths[queue] += 1
-        if self.policy is not None:
-            self.policy.note_enqueue(queue, meta.length)
         return trace
 
     def unlink_segment(self, queue: int) -> Tuple[int, SegmentMeta, List[AccessRecord]]:
@@ -176,10 +170,7 @@ class SegmentQueueManager:
         finally:
             trace = self.mem.end_trace()
         meta = self._shadow.pop(slot)
-        self._pkt_len_shadow.pop(slot, None)
         self._lengths[queue] -= 1
-        if self.policy is not None:
-            self.policy.note_release(queue, meta.length)
         return slot, meta, trace
 
     # ------------------------------------------------- composed segment ops
@@ -201,135 +192,6 @@ class SegmentQueueManager:
         t2 = self.release(slot)
         return slot, meta, t1 + t2
 
-    # ------------------------------------------------- policy admission
-
-    def offer(self, queue: int, meta: SegmentMeta = SegmentMeta(),
-              packet_head_slot: Optional[int] = None
-              ) -> Tuple[Union[int, DroppedSegment], List[AccessRecord]]:
-        """Policy-governed enqueue.
-
-        With no policy this is :meth:`enqueue` (which raises
-        :class:`~repro.queueing.freelist.OutOfBuffersError` on
-        exhaustion).  With a policy the arrival is offered first:
-        ``drop`` returns a :class:`DroppedSegment` marker, ``pushout``
-        evicts the victim queue's tail *segment* (the flat structure's
-        tail buffer) via :meth:`drop_tail_segment` and re-consults.
-        """
-        if self.policy is None:
-            return self.enqueue(queue, meta, packet_head_slot)
-        self._check_queue(queue)
-        excluded: Set[int] = set()
-        while True:
-            decision = self.policy.admit(queue, meta.length,
-                                         exclude=frozenset(excluded))
-            if decision.action == "accept":
-                slot, trace = self.enqueue(queue, meta, packet_head_slot)
-                self.policy.record_accept(queue, meta.length)
-                return slot, trace
-            if decision.action == "drop":
-                self.policy.record_drop(queue, meta.length, decision.reason)
-                return DroppedSegment(queue, meta.length, decision.reason), []
-            victim = decision.victim
-            if self._lengths[victim] == 0:
-                excluded.add(victim)
-                continue
-            _slot, victim_meta, _trace = self.drop_tail_segment(victim)
-            self.policy.record_pushout(victim, 1, victim_meta.length,
-                                       decision.reason)
-
-    def drop_tail_segment(self, queue: int
-                          ) -> Tuple[int, SegmentMeta, List[AccessRecord]]:
-        """Push out ``queue``'s tail segment (the LQD eviction unit of
-        the flat structure) and free its slot.
-
-        The list is forward-linked, so the tail's predecessor is found
-        by walking from the head (shadow ``peek``s; the counted traffic
-        is the unlink and the free-list push).  Never touches the head
-        unless it is the only segment.  Evicting the last segment of a
-        multi-segment packet truncates that packet: the end-of-packet
-        mark moves to the new tail and the evicted bytes leave the
-        packet's accumulated length, so dequeue_packet and
-        packet_length_bytes stay coherent.  Occupancy bookkeeping is
-        the caller's duty (see :meth:`BufferPolicy.record_pushout`).
-        """
-        self._check_queue(queue)
-        evicted_meta = None
-        self.mem.start_trace()
-        try:
-            tail_word = self.mem.read("qtail", queue)
-            if tail_word == NIL:
-                raise QueueEmptyError(f"queue {queue} is empty")
-            slot = self._dec(tail_word)
-            head_word = self.mem.peek("qhead", queue)
-            if self._dec(head_word) == slot:
-                self.mem.write("qhead", queue, NIL)
-                self.mem.write("qtail", queue, NIL)
-            else:
-                # walk to the predecessor, tracking the head slot of
-                # the packet the evicted tail belongs to
-                pred = self._dec(head_word)
-                pkt_head = pred
-                while True:
-                    pred_word = self.mem.peek("next", pred)
-                    nxt = self._dec(pred_word)
-                    if nxt == slot:
-                        break
-                    if self._shadow[pred].eop:
-                        pkt_head = nxt  # next segment starts a packet
-                    pred = nxt
-                if self._shadow[pred].eop:
-                    pkt_head = slot  # evicted tail is its own packet head
-                evicted_meta = self._shadow[slot]
-                pred_bits = pred_word & ~LINK_MASK
-                if evicted_meta.eop and not self._shadow[pred].eop:
-                    # truncation: the packet's end moves to the new tail
-                    pred_bits |= EOP_BIT
-                    self._shadow[pred] = SegmentMeta(
-                        eop=True, length=self._shadow[pred].length,
-                        pid=self._shadow[pred].pid,
-                        index=self._shadow[pred].index)
-                if pkt_head != slot and pkt_head in self._pkt_len_shadow:
-                    self._pkt_len_shadow[pkt_head] -= evicted_meta.length
-                # the predecessor becomes the tail: clear its link, then
-                # mirror its metadata into the tail word
-                self.mem.write("next", pred, pred_bits | NIL)
-                self.mem.write("qtail", queue, self._enc(pred) | pred_bits)
-            self.free.push(slot)
-        finally:
-            trace = self.mem.end_trace()
-        meta = self._shadow.pop(slot)
-        self._pkt_len_shadow.pop(slot, None)
-        self._lengths[queue] -= 1
-        return slot, meta, trace
-
-    # ---------------------------------------------------- packet helpers
-
-    def enqueue_packet(self, queue: int, num_segments: int, pid: int = -1,
-                       last_length: int = 64) -> List[int]:
-        """Enqueue a whole packet as ``num_segments`` segments."""
-        if num_segments < 1:
-            raise ValueError(f"num_segments must be >= 1, got {num_segments}")
-        slots: List[int] = []
-        head_slot: Optional[int] = None
-        for i in range(num_segments):
-            eop = i == num_segments - 1
-            meta = SegmentMeta(eop=eop, length=last_length if eop else 64,
-                               pid=pid, index=i)
-            slot, _trace = self.enqueue(queue, meta, packet_head_slot=head_slot)
-            if head_slot is None:
-                head_slot = slot
-            slots.append(slot)
-        return slots
-
-    def dequeue_packet(self, queue: int) -> List[Tuple[int, SegmentMeta]]:
-        """Dequeue segments up to and including the next end-of-packet."""
-        out: List[Tuple[int, SegmentMeta]] = []
-        while True:
-            slot, meta, _trace = self.dequeue(queue)
-            out.append((slot, meta))
-            if meta.eop:
-                return out
-
     # ------------------------------------------------------------ queries
 
     def queue_length(self, queue: int) -> int:
@@ -339,10 +201,6 @@ class SegmentQueueManager:
 
     def is_empty(self, queue: int) -> bool:
         return self.queue_length(queue) == 0
-
-    def packet_length_bytes(self, head_slot: int) -> int:
-        """Accumulated packet length stored with the head segment."""
-        return self._pkt_len_shadow[head_slot]
 
     def walk_queue(self, queue: int) -> List[int]:
         """Debug walk of a queue's slots, head to tail (counted reads)."""
@@ -354,10 +212,6 @@ class SegmentQueueManager:
             slots.append(slot)
             cur = self.mem.read("next", slot) & LINK_MASK
         return slots
-
-    def meta_of(self, slot: int) -> SegmentMeta:
-        """Shadow metadata of an allocated slot."""
-        return self._shadow[slot]
 
     @property
     def free_slots(self) -> int:

@@ -272,7 +272,9 @@ def test_latency_policies_stream_split_matches_the_reference(policy):
     probe = MmsTelemetry(TelemetrySpec())
     eng = harnesses.make_machine(cfg, "reference", probe)
     counters = {"dequeued": 0}
-    horizon = harnesses.attach_overload(eng, "burst", 240, 32, counters)
+    feeders, horizon = harnesses.overload_feeders(eng, "burst", 240, 32)
+    for port, factory in feeders:
+        eng.add_feeder(port, factory(lambda fn: fn, counters))
     eng.run(horizon)
     reference = (
         harnesses.assemble_overload_result(eng, cfg, "burst", counters,

@@ -66,6 +66,20 @@ def test_documents_with_a_legacy_engine_label_still_resume():
     assert resumed.finish() == base
 
 
+def test_documents_with_a_retired_config_field_still_resume():
+    """Documents written while ``MmsConfig`` had ``keep_samples`` carry
+    it in their config; it loads, is ignored, and the run resumes to
+    the unbroken result."""
+    base = StreamRun.fresh("overload", _overload()).finish()
+    run = StreamRun.fresh("overload", _overload())
+    run.run(run.horizon // 4)
+    doc = run.checkpoint().to_dict()
+    assert "keep_samples" not in doc["params"]["config"]
+    doc["params"]["config"]["keep_samples"] = False
+    resumed = StreamRun.resume(Checkpoint.from_json(json.dumps(doc)))
+    assert resumed.finish() == base
+
+
 # ---------------------------------------------- structural absence
 
 def test_plain_harness_path_carries_no_checkpoint_machinery():
@@ -104,6 +118,15 @@ def test_plain_path_sources_never_import_checkpoint(module_name):
 def test_unknown_workloads_are_rejected():
     with pytest.raises(CheckpointError, match="unknown stream workload"):
         StreamRun("quantum", {})
+    # the load and saturation families are gone: their documents are
+    # refused at resume, naming the families that remain
+    doc = StreamRun.fresh("overload", _overload()).checkpoint().to_dict()
+    for workload in ("load", "saturation"):
+        doc["workload"] = workload
+        ckpt = Checkpoint.from_json(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=r"\('overload', 'script'\)"):
+            StreamRun.resume(ckpt)
 
 
 def test_resume_rejects_engine_mismatch(tmp_path):

@@ -17,8 +17,7 @@ from repro.policies import (
     PolicySpec,
     make_policy,
 )
-from repro.queueing import PacketQueueManager, QueueEmptyError, SegmentQueueManager
-from repro.queueing.segment_queues import SegmentMeta
+from repro.queueing import PacketQueueManager, QueueEmptyError
 
 
 def make_pqm(policy, flows=8, segments=16):
@@ -109,36 +108,6 @@ def test_dynamic_threshold_alpha_bound_through_manager():
             assert qlen_before < alpha * free_before
             accepts += 1
     assert accepts > 0 and drops > 0  # the workload actually overloaded
-
-
-# --------------------------------------------------- SQM tail push-out
-
-def test_sqm_lqd_pushout_evicts_tail_segment_not_head():
-    pol = LongestQueueDrop(capacity=6)
-    sqm = SegmentQueueManager(num_queues=3, num_slots=6, policy=pol)
-    slots = [sqm.offer(0, SegmentMeta(pid=i))[0] for i in range(4)]
-    sqm.offer(1, SegmentMeta(pid=90))
-    sqm.offer(1, SegmentMeta(pid=91))
-    # full: arrival on queue 2 evicts queue 0's *tail* (last slot)
-    result, _ = sqm.offer(2, SegmentMeta(pid=99))
-    assert not isinstance(result, DroppedSegment)
-    assert sqm.walk_queue(0) == slots[:3]
-    assert pol.stats.pushed_out_segments == 1
-
-
-def test_sqm_drop_tail_segment_on_empty_queue_raises():
-    sqm = SegmentQueueManager(num_queues=2, num_slots=4)
-    with pytest.raises(QueueEmptyError):
-        sqm.drop_tail_segment(0)
-
-
-def test_sqm_drop_tail_single_segment_empties_queue():
-    sqm = SegmentQueueManager(num_queues=2, num_slots=4)
-    slot, _ = sqm.enqueue(0, SegmentMeta())
-    got, _meta, _trace = sqm.drop_tail_segment(0)
-    assert got == slot
-    assert sqm.is_empty(0)
-    assert sqm.free_slots == 4
 
 
 # -------------------------------------------------------- PQM mechanics
@@ -282,33 +251,6 @@ def test_failing_append_does_not_corrupt_policy_state():
     result, _ = pqm.admit_enqueue(2, eop=True)
     assert not isinstance(result, DroppedSegment)
 
-
-# ------------------------------------- SQM multi-segment truncation
-
-def test_sqm_pushout_of_eop_truncates_packet_coherently():
-    """Evicting the tail (EOP) segment of a multi-segment packet must
-    move the end-of-packet mark and fix the accumulated length, so the
-    packet dequeues as a truncated-but-framed unit."""
-    pol = make_policy(PolicySpec(name="lqd"), capacity=4)
-    sqm = SegmentQueueManager(num_queues=2, num_slots=4, policy=pol)
-    slots = []
-    head = None
-    for i in range(3):
-        meta = SegmentMeta(eop=(i == 2), length=64 if i < 2 else 40,
-                           pid=5, index=i)
-        slot, _ = sqm.offer(0, meta, packet_head_slot=head)
-        if head is None:
-            head = slot
-        slots.append(slot)
-    sqm.offer(1, SegmentMeta(pid=9))
-    # full: arrival on queue 1... queue 0 is longest -> evict its tail
-    result, _ = sqm.offer(1, SegmentMeta(pid=10))
-    assert not isinstance(result, DroppedSegment)
-    assert sqm.walk_queue(0) == slots[:2]
-    assert sqm.meta_of(slots[1]).eop          # EOP moved to the new tail
-    assert sqm.packet_length_bytes(head) == 128  # evicted 40 B removed
-    got = sqm.dequeue_packet(0)               # frames correctly
-    assert [s for s, _m in got] == slots[:2]
 
 def test_strict_microcode_still_checks_accepted_enqueues():
     """Installing a policy must not disable the schedule cross-check

@@ -119,31 +119,6 @@ def test_unlink_last_clears_tail_four_accesses():
     assert len(trace) == 4  # + W qtail = NIL
     assert m.is_empty(0)
 
-# -------------------------------------------------------- packet helpers
-
-def test_enqueue_packet_segments_and_lengths():
-    m = make()
-    slots = m.enqueue_packet(0, num_segments=3, pid=5, last_length=10)
-    assert len(slots) == 3
-    assert m.packet_length_bytes(slots[0]) == 64 + 64 + 10
-    segs = m.dequeue_packet(0)
-    assert [meta.eop for _s, meta in segs] == [False, False, True]
-    assert [meta.index for _s, meta in segs] == [0, 1, 2]
-
-def test_dequeue_packet_stops_at_eop():
-    m = make()
-    m.enqueue_packet(0, 2, pid=1)
-    m.enqueue_packet(0, 3, pid=2)
-    first = m.dequeue_packet(0)
-    assert len(first) == 2
-    assert all(meta.pid == 1 for _s, meta in first)
-    assert m.queue_length(0) == 3
-
-def test_enqueue_packet_validation():
-    m = make()
-    with pytest.raises(ValueError):
-        m.enqueue_packet(0, 0)
-
 # ----------------------------------------------------------- invariants
 
 @settings(max_examples=40, deadline=None)
