@@ -23,6 +23,13 @@ state serializes exactly.  Three representation details matter:
   scheduled) are the heap plus the DMC's one-wake register, and
   feeders are suspended at a micro-op boundary, which is what lets
   :mod:`repro.checkpoint.feeders` fast-forward them.
+* **Columnar queue state.**  The queue manager's state is its
+  :meth:`~repro.queueing.PacketQueueManager.state_dict`: one word list
+  and two counters per pointer-memory region, the free-list registers,
+  the per-slot packet id/segment index columns and the per-flow counts.
+  Documents written while the pointer memory was one sparse address
+  space (``"words"`` keyed by global address, ``"sram_counts"`` and a
+  ``"shadow"`` entry per live segment) are converted on restore.
 * **One wake list.**  The document stores every pending wake in one
   ``"wakes"`` list of ``[t, seq, kind, arg]`` entries: the register's
   wake is written there as ``[t, seq, kind, null]``, and restore moves
@@ -48,8 +55,7 @@ from repro.checkpoint.feeders import CountedFeeder, Tape
 from repro.checkpoint.snapshot import CheckpointError
 from repro.core.commands import CommandType
 from repro.engines.stream import C_OP, C_REQ, DMC_WAKE_KINDS, StreamMms
-from repro.queueing.freelist import FreeList
-from repro.queueing.packet_queues import PacketQueueManager, SegmentInfo
+from repro.queueing.packet_queues import PacketQueueManager
 
 #: A feeder factory: given the feeder's (restored) observation tape,
 #: build the feeder generator with its environment reads wired through
@@ -111,9 +117,6 @@ def snapshot_stream(eng: StreamMms) -> Dict[str, Any]:
         st["port"] = port
         feeders.append(st)
 
-    pqm = eng.pqm
-    mem = pqm.mem
-    sram = mem._sram
     wakes = [list(w) for w in eng._wakes]
     if eng._dmc_kind is not None:
         wakes.append([eng._dmc_t, eng._dmc_seq, eng._dmc_kind, None])
@@ -137,20 +140,7 @@ def snapshot_stream(eng: StreamMms) -> Dict[str, Any]:
             "waiting": eng._dmc_kind is None,
             "req": None if eng._dmc_req is None else req_id(eng._dmc_req),
         },
-        "pqm": {
-            "words": {str(a): v for a, v in sram._words.items()},
-            "sram_counts": [sram.read_count, sram.write_count],
-            "reads": dict(mem.reads_by_region),
-            "writes": dict(mem.writes_by_region),
-            "seg_free": _freelist_state(pqm.seg_free),
-            "desc_free": _freelist_state(pqm.desc_free),
-            "shadow": {str(slot): [s.slot, s.eop, s.length, s.pid, s.index]
-                       for slot, s in pqm._seg_shadow.items()},
-            "open_segments": {str(f): n
-                              for f, n in pqm._open_segments.items()},
-            "queued_packets": list(pqm._queued_packets),
-            "queued_segments": list(pqm._queued_segments),
-        },
+        "pqm": eng.pqm.state_dict(),
         "policy": None if eng.policy is None else eng.policy.state_dict(),
         "feeders": feeders,
     }
@@ -186,7 +176,7 @@ def restore_stream(eng: StreamMms, state: Dict[str, Any],
         req = row[C_REQ]
         cmds.append([op] + list(row[1:C_REQ])
                     + [None if req is None else list(req),
-                       eng._opinfo[op][2]])
+                       eng._opinfo[op.value][2]])
 
     eng._fifos = [deque(cmds[i] for i in ids) for ids in state["fifos"]]
     eng._pending = [None if p is None else (p[0], cmds[p[1]])
@@ -196,7 +186,7 @@ def restore_stream(eng: StreamMms, state: Dict[str, Any],
     cur_id = state["cur"]
     eng._cur = None if cur_id is None else cmds[cur_id]
     eng._cur_info = None if eng._cur is None \
-        else eng._opinfo[eng._cur[C_OP]]
+        else eng._opinfo[eng._cur[C_OP].value]
     eng.commands_executed = state["commands_executed"]
     eng._done = [cmds[i] for i in state["done"]]
 
@@ -250,25 +240,46 @@ def _owned_req(cmds: List[list], cmd_idx: int) -> list:
     return req
 
 
-def _freelist_state(fl: FreeList) -> List[Any]:
-    return [fl._reg_head, fl._reg_tail, fl.free_count, fl._virgin]
-
-
 def _restore_pqm(pqm: PacketQueueManager, st: Dict[str, Any]) -> None:
+    try:
+        if "regions" not in st:
+            st = _from_address_space(pqm, st)
+        pqm.load_state(st)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(
+            f"queue state does not fit the configuration: {exc}") from None
+
+
+def _from_address_space(pqm: PacketQueueManager,
+                        st: Dict[str, Any]) -> Dict[str, Any]:
+    """Convert a queue state written while the pointer memory was one
+    sparse address space into :meth:`PacketQueueManager.state_dict`
+    form.  Its totals (``"sram_counts"``) are the sums of the region
+    counters and are dropped; a slot missing from ``"shadow"`` was free,
+    and its shadow columns are never read before the next allocation
+    writes them."""
     mem = pqm.mem
-    sram = mem._sram
-    sram._words = {int(a): v for a, v in st["words"].items()}
-    sram.read_count, sram.write_count = st["sram_counts"]
-    mem.reads_by_region = dict(st["reads"])
-    mem.writes_by_region = dict(st["writes"])
-    for fl, fs in ((pqm.seg_free, st["seg_free"]),
-                   (pqm.desc_free, st["desc_free"])):
-        fl._reg_head, fl._reg_tail, fl.free_count, fl._virgin = fs
-    pqm._seg_shadow = {
-        int(slot): SegmentInfo(slot=s[0], eop=s[1], length=s[2],
-                               pid=s[3], index=s[4])
-        for slot, s in st["shadow"].items()}
-    pqm._open_segments = {int(f): n
-                          for f, n in st["open_segments"].items()}
-    pqm._queued_packets = list(st["queued_packets"])
-    pqm._queued_segments = list(st["queued_segments"])
+    regions: Dict[str, Dict[str, Any]] = {}
+    for name in st["reads"]:
+        region = mem.region(name)
+        regions[name] = {"words": [0] * region.size,
+                         "reads": st["reads"][name],
+                         "writes": st["writes"][name]}
+    layout = sorted((mem.region(name).base, name) for name in regions)
+    for addr, value in st["words"].items():
+        addr = int(addr)
+        base, name = max(b for b in layout if b[0] <= addr)
+        regions[name]["words"][addr - base] = value
+    pid = [-1] * pqm.num_segments
+    index = [0] * pqm.num_segments
+    for slot, shadow in st["shadow"].items():
+        pid[int(slot)] = shadow[3]
+        index[int(slot)] = shadow[4]
+    open_segments = [0] * pqm.num_flows
+    for flow, count in st["open_segments"].items():
+        open_segments[int(flow)] = count
+    return {"regions": regions, "seg_free": st["seg_free"],
+            "desc_free": st["desc_free"], "pid": pid, "index": index,
+            "open_segments": open_segments,
+            "queued_packets": st["queued_packets"],
+            "queued_segments": st["queued_segments"]}

@@ -138,10 +138,13 @@ class StreamMms:
         self.pqm = flow_queues(config, lambda: self.now, policy)
         self.policy = self.pqm.policy
         #: Per-op fused cost row: (handoff_ps, tail_ps, execution_cycles_f,
-        #: ptr_accesses, touches_data, is_data_write).
+        #: ptr_accesses, touches_data, is_data_write), keyed by the
+        #: command's value string: the run loop looks it up per command
+        #: as ``opinfo[op._value_]``, where a ``CommandType`` key would
+        #: pay a Python-level ``Enum.__hash__`` call each time.
         self._opinfo = {
-            op: (handoff_ps, tail_ps, execf, ptr,
-                 op in _DATA_COMMANDS, op in DATA_WRITE_COMMANDS)
+            op.value: (handoff_ps, tail_ps, execf, ptr,
+                       op in _DATA_COMMANDS, op in DATA_WRITE_COMMANDS)
             for op, (handoff_ps, tail_ps, _lat, execf, ptr)
             in command_timing_table(self.clock.period_ps,
                                     config.overlap_data).items()
@@ -484,7 +487,7 @@ class StreamMms:
                         data_slot = result
                     else:
                         result, trace_len, data_slot = dispatch(cmd)
-                    info = opinfo[op]
+                    info = opinfo[op._value_]
                     if strict \
                             and not isinstance(result, DroppedSegment) \
                             and trace_len != info[3]:

@@ -13,9 +13,10 @@ The paper's DRAM analysis rests on four timing facts (its footnotes 1-2):
 :mod:`repro.mem.sched` implements the two front-end schedulers compared
 in Table 1 (round-robin serializing vs reordering with per-port FIFOs and
 last-3-access history); :mod:`repro.mem.patterns` generates the random
-bank access patterns of the evaluation; :mod:`repro.mem.sram` models the
-ZBT SRAM pointer memory; :mod:`repro.mem.controller` wraps the raw models
-behind the DES kernel for use inside the platform models;
+bank access patterns of the evaluation (the ZBT SRAM pointer memory is
+:mod:`repro.queueing.pointer_memory`); :mod:`repro.mem.controller`
+wraps the raw models behind the DES kernel for use inside the platform
+models;
 :mod:`repro.mem.fastpath` is the batched bank-state engine behind
 ``simulate_throughput_loss(engine="fast")`` -- bit-identical to the
 reference drivers, an order of magnitude fewer Python operations.
@@ -23,7 +24,6 @@ reference drivers, an order of magnitude fewer Python operations.
 
 from repro.mem.timing import DDR_64B_ACCESS_BYTES, DdrTiming, ZbtTiming
 from repro.mem.ddr import Access, DdrModel, MemOp
-from repro.mem.sram import ZbtSram
 from repro.mem.patterns import (
     AccessPattern,
     hotspot_pattern,
@@ -51,7 +51,6 @@ __all__ = [
     "MemOp",
     "Access",
     "DdrModel",
-    "ZbtSram",
     "AccessPattern",
     "uniform_random_pattern",
     "sequential_pattern",

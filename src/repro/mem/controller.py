@@ -1,7 +1,7 @@
 """DES-integrated memory controllers.
 
-The raw models in :mod:`repro.mem.ddr` and :mod:`repro.mem.sram` are
-passive timing/state machines.  The platform models (reference NPU, MMS)
+The raw model in :mod:`repro.mem.ddr` is a passive timing/state
+machine, and so are the ZBT timing parameters in :mod:`repro.mem.timing`.  The platform models (reference NPU, MMS)
 need *controllers*: blocks that queue requests from concurrent processes,
 issue them respecting the device timing, and signal completion.  These
 run as kernel processes and expose per-request latency decomposition,

@@ -1,4 +1,4 @@
-"""Free-list management over pointer memory.
+"""The software free list of Section 5.2, over pointer memory.
 
 "A free-list keeps the free parts of the memory, at any given time"
 (Section 5.2).  The free list is itself a single-linked list threaded
@@ -6,17 +6,25 @@ through the ``next`` words of unused slots, so pop ("Dequeue Free List")
 and push ("Enqueue Free List") are the first sub-operations of every
 enqueue/dequeue (Table 3 prices them separately).
 
-The head/tail anchors can live either in on-chip registers (the MMS
-hardware keeps them in flip-flops -- zero SRAM accesses to consult) or in
-SRAM words (the software implementations must load/store them), selected
-with ``anchors_in_memory``.
+Two anchor placements, two classes:
+
+* :class:`FreeList` -- the software implementations of Section 5 keep
+  the head/tail anchors in SRAM words (the ``globals`` region), so
+  consulting them costs loads and stores: pop is R head, R next[head],
+  W head; push is R tail, W next[slot], W next[tail], W tail.
+* :class:`RegisterFreeList` -- the MMS hardware keeps its anchors in
+  on-chip registers, so pop is one read (R next[head]) and push is at
+  most two writes.  It runs on every MMS enqueue and dequeue, so it
+  works on its region's word list directly; its operations append to
+  the caller's record list and return their access counts (see
+  :mod:`repro.queueing.pointer_memory`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
-from repro.queueing.pointer_memory import PointerMemory
+from repro.queueing.pointer_memory import AccessRecord, PointerMemory, Region
 
 #: Null link encoding (no slot 0 ambiguity: we bias stored links by +1).
 NIL = 0
@@ -36,20 +44,25 @@ class OutOfBuffersError(RuntimeError):
         self.num_slots = num_slots
 
 
+def exhausted(free_count: int, num_slots: int) -> OutOfBuffersError:
+    """The error of a pop from an empty free list."""
+    in_use = num_slots - free_count
+    return OutOfBuffersError(
+        f"free list empty: {in_use} of {num_slots} slots in use (install "
+        f"a buffer policy to make overload a drop decision)",
+        slots_in_use=in_use, num_slots=num_slots)
+
+
 class FreeList:
-    """Single-linked free list of buffer slots.
+    """Single-linked free list of buffer slots with anchors in SRAM.
 
     Parameters
     ----------
     mem:
         Pointer memory; must contain a ``next`` region of >= ``num_slots``
-        words plus (when ``anchors_in_memory``) a ``globals`` region with
-        two words for the anchors.
+        words plus a ``globals`` region with two words for the anchors.
     num_slots:
         Total buffer slots managed.
-    anchors_in_memory:
-        Whether head/tail anchors cost SRAM accesses (software) or are
-        free registers (hardware).
     next_region / globals_region:
         Region names, overridable when several lists share one memory.
     """
@@ -58,234 +71,215 @@ class FreeList:
     TAIL_WORD = 1
 
     def __init__(self, mem: PointerMemory, num_slots: int,
-                 anchors_in_memory: bool = True,
                  next_region: str = "next",
-                 globals_region: str = "globals",
-                 link_mask: Optional[int] = None) -> None:
+                 globals_region: str = "globals") -> None:
         if num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {num_slots}")
         self.mem = mem
         self.num_slots = num_slots
-        self.anchors_in_memory = anchors_in_memory
         self.next_region = next_region
         self.globals_region = globals_region
-        #: Mask applied to link words on pop.  Needed when whole queue
-        #: chains are spliced onto the list (MMS delete-packet): interior
-        #: words still carry packed metadata above the link field.
-        self.link_mask = link_mask
-        self._reg_head = NIL
-        self._reg_tail = NIL
         self.free_count = 0
         self._initialized = False
-        # True while the chain is exactly the boot-time sequential one
-        # (0 -> 1 -> ... -> n-1); lets reserve() skip the chain walk
-        self._virgin = False
 
     # ------------------------------------------------------------ set-up
 
     def initialize(self) -> None:
         """Chain every slot into the free list (boot-time, not traced).
 
-        Uses the pointer memory's bulk path: one write per word is
-        accounted exactly as the historical per-word loop did, without
-        paying a method call per slot (64 K segment buffers are built
-        once per experiment run).
+        The chain ``0 -> 1 -> ... -> n-1`` is one slice assignment,
+        counted as the one write per word (plus the two anchor stores)
+        that a per-word boot loop would make.
         """
         n = self.num_slots
-        self.mem.bulk_update(self.next_region,
-                             list(zip(range(n - 1), range(2, n + 1))))
-        self.mem.bulk_update(self.next_region, [(n - 1, NIL)])
-        self._store_head(self._enc(0))
-        self._store_tail(self._enc(n - 1))
+        nxt = self.mem.region(self.next_region)
+        nxt.words[:n - 1] = range(2, n + 1)
+        nxt.words[n - 1] = NIL
+        nxt.writes += n
+        self.mem.write(self.globals_region, self.HEAD_WORD, 1)
+        self.mem.write(self.globals_region, self.TAIL_WORD, n)
         self.free_count = n
         self._initialized = True
-        self._virgin = True
 
     # ---------------------------------------------------------- operation
 
     def pop(self) -> int:
-        """Allocate one slot ("Dequeue Free List").
-
-        Access pattern (anchors in memory): R head, R next[head], W head.
-        With register anchors: R next[head] only.  The register-anchor
-        variant is the MMS per-command hot path and avoids the anchor
-        helper indirection.
-        """
-        if not self._initialized:
-            raise RuntimeError("free list not initialized; call initialize()")
-        head = self._reg_head if not self.anchors_in_memory \
-            else self._load_head()
+        """Allocate one slot ("Dequeue Free List"): R head, R next[head],
+        W head."""
+        self._require_init()
+        mem = self.mem
+        head = mem.read(self.globals_region, self.HEAD_WORD)
         if head == NIL:
-            in_use = self.num_slots - self.free_count
-            raise OutOfBuffersError(
-                f"free list empty: {in_use} of {self.num_slots} slots in "
-                f"use (install a buffer policy to make overload a drop "
-                f"decision)", slots_in_use=in_use, num_slots=self.num_slots)
-        self._virgin = False
+            raise exhausted(self.free_count, self.num_slots)
         slot = head - 1
-        nxt = self.mem.read(self.next_region, slot)
-        if self.link_mask is not None:
-            nxt &= self.link_mask
-        if self.anchors_in_memory:
-            self._store_head(nxt)
-            if nxt == NIL:
-                # list drained: the tail anchor would otherwise go stale
-                # and a later push would splice onto an in-use slot
-                self._store_tail(NIL)
-        else:
-            self._reg_head = nxt
-            if nxt == NIL:
-                self._reg_tail = NIL
+        nxt = mem.read(self.next_region, slot)
+        mem.write(self.globals_region, self.HEAD_WORD, nxt)
+        if nxt == NIL:
+            # list drained: the tail anchor would otherwise go stale
+            # and a later push would splice onto an in-use slot
+            mem.write(self.globals_region, self.TAIL_WORD, NIL)
         self.free_count -= 1
         return slot
 
-    def reserve(self, count: int) -> List[int]:
-        """Allocate ``count`` slots in one bulk walk (= ``count`` pops).
-
-        Follows the free chain once, then accounts the accesses a pop
-        loop would have made -- one ``next`` read per allocated slot,
-        plus the anchor load/store traffic when the anchors live in
-        memory -- so counters, anchor state and ``free_count`` are
-        exactly where ``count`` :meth:`pop` calls would leave them.
-        Raises :class:`OutOfBuffersError` when fewer than ``count``
-        slots are free (before touching any state).
-        """
-        self._require_init()
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        if count > self.free_count:
-            in_use = self.num_slots - self.free_count
-            raise OutOfBuffersError(
-                f"cannot reserve {count} slots: {in_use} of "
-                f"{self.num_slots} in use", slots_in_use=in_use,
-                num_slots=self.num_slots)
-        mem, region, mask = self.mem, self.next_region, self.link_mask
-        if self._virgin and not self.anchors_in_memory:
-            # boot-time sequential chain: the walk's outcome is known in
-            # closed form (slot k links to k+1)
-            slots = list(range(count))
-            self._virgin = False
-            self._reg_head = head = \
-                count + 1 if count < self.num_slots else NIL
-            if head == NIL:
-                self._reg_tail = NIL
-            self.free_count -= count
-            mem.bulk_update(region, (), extra_reads=count)
-            return slots
-        self._virgin = False
-        slots: List[int] = []
-        head = self._load_head()
-        for _ in range(count):
-            slot = self._dec(head)
-            slots.append(slot)
-            head = mem.peek(region, slot)
-            if mask is not None:
-                head &= mask
-        self._store_head(head)
-        if head == NIL:
-            self._store_tail(NIL)
-        self.free_count -= count
-        mem.bulk_update(region, (), extra_reads=count)
-        if self.anchors_in_memory:
-            # each pop loads and stores the head anchor; the final
-            # stores above already counted one store (plus the drained
-            # tail store, when taken)
-            mem.bulk_update(self.globals_region, (),
-                            extra_reads=count - 1,
-                            extra_writes=count - 1)
-        return slots
-
     def push(self, slot: int) -> None:
-        """Release one slot ("Enqueue Free List").
+        """Release one slot ("Enqueue Free List"): R tail, W next[slot],
+        W next[tail], W tail.
 
-        Access pattern (anchors in memory): R tail, W next[tail], W tail.
         Appending at the tail (rather than pushing at the head) matches
         hardware practice: it avoids reusing a just-freed slot whose data
         transfer may still be in flight.
         """
-        if not self._initialized:
-            raise RuntimeError("free list not initialized; call initialize()")
+        self._require_init()
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
-        self._virgin = False
-        if self.anchors_in_memory:
-            tail = self._load_tail()
-            self.mem.write(self.next_region, slot, NIL)
-            if tail == NIL:
-                self._store_head(self._enc(slot))
-            else:
-                self.mem.write(self.next_region, self._dec(tail),
-                               self._enc(slot))
-            self._store_tail(self._enc(slot))
+        mem = self.mem
+        tail = mem.read(self.globals_region, self.TAIL_WORD)
+        mem.write(self.next_region, slot, NIL)
+        if tail == NIL:
+            mem.write(self.globals_region, self.HEAD_WORD, slot + 1)
         else:
-            tail = self._reg_tail
-            self.mem.write(self.next_region, slot, NIL)
-            if tail == NIL:
-                self._reg_head = slot + 1
-            else:
-                self.mem.write(self.next_region, tail - 1, slot + 1)
-            self._reg_tail = slot + 1
+            mem.write(self.next_region, tail - 1, slot + 1)
+        mem.write(self.globals_region, self.TAIL_WORD, slot + 1)
         self.free_count += 1
 
-    def push_chain(self, first_slot: int, last_slot: int, count: int) -> None:
-        """Release a pre-linked chain in O(1) (the MMS delete-packet path).
-
-        The chain ``first_slot -> ... -> last_slot`` must already be
-        linked through the ``next`` region.
-        """
-        self._require_init()
-        self._check_slot(first_slot)
-        self._check_slot(last_slot)
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self._virgin = False
-        tail = self._load_tail()
-        self.mem.write(self.next_region, last_slot, NIL)
-        if tail == NIL:
-            self._store_head(self._enc(first_slot))
-        else:
-            self.mem.write(self.next_region, self._dec(tail), self._enc(first_slot))
-        self._store_tail(self._enc(last_slot))
-        self.free_count += count
-
-    # ---------------------------------------------------------- anchors
-
-    def _load_head(self) -> int:
-        if self.anchors_in_memory:
-            return self.mem.read(self.globals_region, self.HEAD_WORD)
-        return self._reg_head
-
-    def _store_head(self, value: int) -> None:
-        if self.anchors_in_memory:
-            self.mem.write(self.globals_region, self.HEAD_WORD, value)
-        else:
-            self._reg_head = value
-
-    def _load_tail(self) -> int:
-        if self.anchors_in_memory:
-            return self.mem.read(self.globals_region, self.TAIL_WORD)
-        return self._reg_tail
-
-    def _store_tail(self, value: int) -> None:
-        if self.anchors_in_memory:
-            self.mem.write(self.globals_region, self.TAIL_WORD, value)
-        else:
-            self._reg_tail = value
-
     # --------------------------------------------------------- internals
-
-    @staticmethod
-    def _enc(slot: int) -> int:
-        return slot + 1
-
-    @staticmethod
-    def _dec(word: int) -> int:
-        return word - 1
-
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.num_slots:
-            raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
 
     def _require_init(self) -> None:
         if not self._initialized:
             raise RuntimeError("free list not initialized; call initialize()")
+
+
+class RegisterFreeList:
+    """Single-linked free list over one region, anchors in registers.
+
+    The list manages every slot of ``region`` and is chained at
+    construction (boot time, uncounted: ``0 -> 1 -> ... -> n-1`` is one
+    slice assignment), so the region's layout must be frozen.
+    ``link_mask`` is applied to link words on pop: whole queue chains
+    are spliced onto the list (:meth:`push`), and their interior words
+    still carry packed metadata above the link field.
+
+    The anchors (``head``/``tail``, encoded ``slot + 1``, NIL when
+    empty), ``free`` and ``virgin`` (True while the chain is exactly
+    the boot chain, which lets :meth:`reserve` skip the walk) are the
+    list's whole state besides its region words.
+    """
+
+    __slots__ = ("region", "words", "num_slots", "link_mask",
+                 "head", "tail", "free", "virgin")
+
+    def __init__(self, region: Region, link_mask: int) -> None:
+        n = region.size
+        words = region.words
+        if len(words) != n:
+            raise RuntimeError("layout not frozen; call freeze() first")
+        words[:n - 1] = range(2, n + 1)
+        words[n - 1] = NIL
+        self.region = region
+        self.words = words
+        self.num_slots = n
+        self.link_mask = link_mask
+        self.head = 1
+        self.tail = n
+        self.free = n
+        self.virgin = True
+
+    def pop(self, rec: Optional[List[AccessRecord]]) -> int:
+        """Allocate one slot ("Dequeue Free List"): R next[head]."""
+        head = self.head
+        if head == NIL:
+            raise exhausted(self.free, self.num_slots)
+        slot = head - 1
+        region = self.region
+        region.reads += 1
+        if rec is not None:
+            rec.append(AccessRecord("R", region.name, slot))
+        nxt = self.words[slot] & self.link_mask
+        self.head = nxt
+        if nxt == NIL:
+            # list drained: the tail register would otherwise go stale
+            # and a later push would splice onto an in-use slot
+            self.tail = NIL
+        self.free -= 1
+        self.virgin = False
+        return slot
+
+    def push(self, first: int, last: int, count: int,
+             rec: Optional[List[AccessRecord]]) -> int:
+        """Release the chain ``first -> ... -> last`` of ``count`` slots
+        at the tail ("Enqueue Free List"; one slot is ``first == last``,
+        ``count == 1``): W next[last] = NIL, then W next[tail] = first
+        unless the list was empty.  O(1) whatever the length -- the MMS
+        delete-packet path splices whole packets.  The chain must
+        already be linked through the region.  Returns the access count.
+        """
+        n = self.num_slots
+        if not (0 <= first < n and 0 <= last < n):
+            raise ValueError(f"chain {first}..{last} out of range [0, {n})")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        words = self.words
+        region = self.region
+        words[last] = NIL
+        tail = self.tail
+        self.tail = last + 1
+        self.free += count
+        self.virgin = False
+        if tail == NIL:
+            self.head = first + 1
+            region.writes += 1
+            if rec is not None:
+                rec.append(AccessRecord("W", region.name, last))
+            return 1
+        words[tail - 1] = first + 1
+        region.writes += 2
+        if rec is not None:
+            name = region.name
+            rec += (AccessRecord("W", name, last),
+                    AccessRecord("W", name, tail - 1))
+        return 2
+
+    def reserve(self, count: int) -> List[int]:
+        """Allocate ``count`` slots in one bulk walk (= ``count`` pops).
+
+        Follows the chain once (or, on the boot chain, knows its outcome
+        in closed form) and counts the one ``next`` read per slot that a
+        pop loop makes, so registers and counters end exactly where
+        ``count`` :meth:`pop` calls would leave them.  Raises
+        :class:`OutOfBuffersError` when fewer than ``count`` slots are
+        free (before touching any state).  Setup work, never traced.
+        """
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if count > self.free:
+            in_use = self.num_slots - self.free
+            raise OutOfBuffersError(
+                f"cannot reserve {count} slots: {in_use} of "
+                f"{self.num_slots} in use", slots_in_use=in_use,
+                num_slots=self.num_slots)
+        if self.virgin:
+            # boot chain: slot k links to k + 1
+            slots = list(range(count))
+            head = count + 1 if count < self.num_slots else NIL
+        else:
+            words, mask = self.words, self.link_mask
+            slots = []
+            head = self.head
+            for _ in range(count):
+                slot = head - 1
+                slots.append(slot)
+                head = words[slot] & mask
+        self.head = head
+        if head == NIL:
+            self.tail = NIL
+        self.free -= count
+        self.virgin = False
+        self.region.reads += count
+        return slots
+
+    def state_dict(self) -> List[Any]:
+        """``[head, tail, free, virgin]`` (checkpoint layout)."""
+        return [self.head, self.tail, self.free, self.virgin]
+
+    def load_state(self, state: List[Any]) -> None:
+        self.head, self.tail, self.free, self.virgin = state

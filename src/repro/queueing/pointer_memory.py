@@ -1,17 +1,25 @@
-"""Pointer memory: a region-structured, access-traced SRAM view.
+"""Pointer memory: the queue managers' ZBT SRAM, one word list per region.
 
 Queue managers keep *pointers* in SRAM because "the pointer manipulation
 tasks need short accesses compared to the burst data accesses needed for
 buffering network packets" (Section 4).  Every data-structure operation
-in :mod:`repro.queueing` goes through a :class:`PointerMemory`, which
+in :mod:`repro.queueing` runs on a :class:`PointerMemory`, which
 
-* maps named regions (segment links, packet descriptors, queue table,
-  free-list anchors) onto one flat :class:`~repro.mem.sram.ZbtSram`,
-* counts reads/writes per region,
-* optionally records an ordered :class:`AccessRecord` trace of one
-  operation, which the platform models convert into cycles (one PLB
-  transaction per access on the reference NPU; one pipelined SRAM cycle
-  in the MMS).
+* lays out named regions (segment links, packet descriptors, queue
+  table, free-list anchors) back to back in one address space, each
+  backed by its own preallocated Python list of words,
+* counts reads and writes on each :class:`Region`,
+* records an ordered :class:`AccessRecord` trace of one operation, which
+  the platform models convert into cycles (one PLB transaction per
+  access on the reference NPU; one pipelined SRAM cycle in the MMS).
+
+There are two ways to access a region.  :meth:`PointerMemory.read` and
+:meth:`~PointerMemory.write` bounds-check the index, count the access
+and record it while a trace is open.  The MMS queue manager's per-command
+hot path instead indexes :attr:`Region.words` directly.  It bumps the
+region's counter itself and appends a record only to a trace that
+records.  Its direct accesses are passed to :meth:`~PointerMemory.end_trace`,
+so a count-only trace has the same length either way.
 
 This is the mechanism that keeps Tables 3 and 4 honest: the cycle counts
 are derived from the access sequences of real data-structure code, not
@@ -21,26 +29,34 @@ hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
-from repro.mem.sram import ZbtSram
-from repro.mem.timing import ZbtTiming
+#: Shared count-only traces: a ``range`` is immutable, so one per length
+#: serves every operation (the MMS commands make at most 13 accesses).
+_SPANS = tuple(range(n) for n in range(16))
 
 
-@dataclass(frozen=True)
 class Region:
-    """A named, bounds-checked window of the pointer SRAM."""
+    """A named window of the pointer SRAM: its words and its counters.
 
-    name: str
-    base: int
-    words: int
+    ``base`` is the region's first global address (regions are laid out
+    back to back in :meth:`PointerMemory.add_region` order); ``words``
+    is the preallocated backing list, empty until the layout is frozen.
+    """
 
-    def addr(self, index: int) -> int:
-        if not 0 <= index < self.words:
-            raise IndexError(
-                f"region {self.name!r}: index {index} out of range [0, {self.words})"
-            )
-        return self.base + index
+    __slots__ = ("name", "base", "size", "words", "reads", "writes")
+
+    def __init__(self, name: str, base: int, size: int) -> None:
+        self.name = name
+        self.base = base
+        self.size = size
+        self.words: List[int] = []
+        self.reads = 0
+        self.writes = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"Region({self.name!r}, base={self.base}, size={self.size}, "
+                f"r={self.reads}, w={self.writes})")
 
 
 @dataclass(frozen=True)
@@ -52,62 +68,50 @@ class AccessRecord:
     index: int
 
 
-class _CountOnlyTrace(List[AccessRecord]):
-    """Sentinel type for a count-only trace in progress (no records
-    kept).  Subclassing the record list keeps ``_trace``'s type uniform
-    without paying a cast on the access hot path; the ``is`` guards in
-    :meth:`PointerMemory.read`/:meth:`~PointerMemory.write` ensure the
-    sentinel instance itself is never appended to."""
-
-
-#: Sentinel marking a count-only trace in progress (identity-compared).
-_COUNT_TRACE = _CountOnlyTrace()
-
-
 class PointerMemory:
     """Region-structured SRAM with per-region counters and op tracing."""
 
-    def __init__(self, timing: ZbtTiming = ZbtTiming()) -> None:
+    def __init__(self) -> None:
         self._regions: Dict[str, Region] = {}
         self._next_base = 0
-        self._sram: Optional[ZbtSram] = None
-        self._timing = timing
+        self._frozen = False
+        #: The open trace's records (None: no trace open, or count-only).
         self._trace: Optional[List[AccessRecord]] = None
-        self._trace_n = 0
+        #: Method-path accesses of an open count-only trace (None: no
+        #: count-only trace open).
+        self._trace_n: Optional[int] = None
         #: When True, :meth:`start_trace` records only the access
         #: *count* (``end_trace`` returns a ``range`` of equal length)
         #: instead of materializing :class:`AccessRecord` objects.  The
         #: per-region counters advance identically either way; the
-        #: batched engine enables this on its hot path because the
+        #: stream engine enables this on its hot path because the
         #: published scenarios consult only trace lengths and counters.
         self.count_only_traces = False
-        self.reads_by_region: Dict[str, int] = {}
-        self.writes_by_region: Dict[str, int] = {}
 
     # ------------------------------------------------------------- layout
 
     def add_region(self, name: str, words: int) -> Region:
         """Allocate a region; must happen before :meth:`freeze`."""
-        if self._sram is not None:
+        if self._frozen:
             raise RuntimeError("layout is frozen; cannot add regions")
         if name in self._regions:
             raise ValueError(f"region {name!r} already exists")
         if words < 1:
             raise ValueError(f"region {name!r}: words must be >= 1, got {words}")
-        region = Region(name=name, base=self._next_base, words=words)
+        region = Region(name, self._next_base, words)
         self._regions[name] = region
         self._next_base += words
-        self.reads_by_region[name] = 0
-        self.writes_by_region[name] = 0
         return region
 
     def freeze(self) -> None:
-        """Finalize the layout and allocate the backing SRAM."""
-        if self._sram is not None:
+        """Finalize the layout and allocate every region's words."""
+        if self._frozen:
             raise RuntimeError("layout already frozen")
         if not self._regions:
             raise RuntimeError("no regions defined")
-        self._sram = ZbtSram(self._next_base, timing=self._timing)
+        for region in self._regions.values():
+            region.words = [0] * region.size
+        self._frozen = True
 
     @property
     def total_words(self) -> int:
@@ -118,159 +122,133 @@ class PointerMemory:
 
     # ------------------------------------------------------------- access
 
-    # The access methods are the hottest few lines of the repository
-    # (every pointer manipulation of every command funnels through
-    # them), so the SRAM store and counters are accessed directly
-    # rather than through ZbtSram.read/write: the region bounds check
-    # subsumes the SRAM bounds check (the frozen layout spans exactly
-    # ``size_words``), and the counter arithmetic is identical.
-
     def read(self, region: str, index: int) -> int:
-        sram = self._sram
-        if sram is None:
-            raise RuntimeError("layout not frozen; call freeze() first")
-        r = self._regions[region]
-        if not 0 <= index < r.words:
-            raise IndexError(
-                f"region {r.name!r}: index {index} out of range "
-                f"[0, {r.words})")
-        sram.read_count += 1
-        value = sram._words.get(r.base + index, 0)
-        self.reads_by_region[region] += 1
-        trace = self._trace
-        if trace is not None:
-            if trace is _COUNT_TRACE:
-                self._trace_n += 1
-            else:
-                trace.append(AccessRecord("R", region, index))
-        return value
+        r = self._checked(region, index)
+        r.reads += 1
+        if self._trace is not None:
+            self._trace.append(AccessRecord("R", region, index))
+        elif self._trace_n is not None:
+            self._trace_n += 1
+        return r.words[index]
 
     def write(self, region: str, index: int, value: int) -> None:
-        sram = self._sram
-        if sram is None:
-            raise RuntimeError("layout not frozen; call freeze() first")
-        r = self._regions[region]
-        if not 0 <= index < r.words:
-            raise IndexError(
-                f"region {r.name!r}: index {index} out of range "
-                f"[0, {r.words})")
-        sram.write_count += 1
-        sram._words[r.base + index] = value
-        self.writes_by_region[region] += 1
-        trace = self._trace
-        if trace is not None:
-            if trace is _COUNT_TRACE:
-                self._trace_n += 1
-            else:
-                trace.append(AccessRecord("W", region, index))
+        r = self._checked(region, index)
+        r.writes += 1
+        r.words[index] = value
+        if self._trace is not None:
+            self._trace.append(AccessRecord("W", region, index))
+        elif self._trace_n is not None:
+            self._trace_n += 1
 
     def peek(self, region: str, index: int) -> int:
         """Uncounted, untraced read -- for debug walks and invariant
         checks only; never use from modelled code paths."""
-        sram = self._require_frozen()
-        r = self._regions[region]
-        if not 0 <= index < r.words:
-            raise IndexError(
-                f"region {r.name!r}: index {index} out of range "
-                f"[0, {r.words})")
-        return sram._words.get(r.base + index, 0)
+        return self._checked(region, index).words[index]
 
     # ------------------------------------------------------------ tracing
 
-    def start_trace(self) -> None:
+    def start_trace(self) -> Optional[List[AccessRecord]]:
         """Begin recording accesses of one operation.
 
-        With :attr:`count_only_traces` set, only the access count is
-        kept and :meth:`end_trace` returns a ``range`` of equal length
-        (``len()``-compatible with the record list it replaces).
+        Returns the record list that direct region accesses append to,
+        or None under :attr:`count_only_traces`: then only the access
+        count is kept and :meth:`end_trace` returns a ``range`` of equal
+        length (``len()``-compatible with the record list it replaces).
+        A trace left open by an operation that raised is discarded.
         """
         if self.count_only_traces:
-            self._trace = _COUNT_TRACE
+            self._trace = None
             self._trace_n = 0
-        else:
-            self._trace = []
-
-    def end_trace(self) -> Union[List[AccessRecord], range]:
-        """Stop recording and return the ordered access list (or its
-        ``range`` stand-in under :attr:`count_only_traces`)."""
-        if self._trace is None:
-            raise RuntimeError("end_trace without start_trace")
-        trace, self._trace = self._trace, None
-        if trace is _COUNT_TRACE:
-            return range(self._trace_n)
+            return None
+        trace: List[AccessRecord] = []
+        self._trace = trace
+        self._trace_n = None
         return trace
 
-    # ------------------------------------------------------- bulk ops
+    def end_trace(self, direct: int = 0) -> Union[List[AccessRecord], range]:
+        """Stop recording and return the ordered access list (or its
+        ``range`` stand-in under :attr:`count_only_traces`).
 
-    def bulk_update(self, region: str, pairs: Iterable[Tuple[int, int]],
-                    extra_reads: int = 0,
-                    extra_writes: int = 0) -> None:
-        """Apply ``(index, value)`` writes of one *bulk* operation.
-
-        A bulk operation replaces a per-word loop whose access totals
-        are known in closed form: each pair counts as one write, and
-        ``extra_reads`` / ``extra_writes`` account the loop's remaining
-        accesses (reads whose values the closed form already knows,
-        overwrites the final values subsume).  Counters end up exactly
-        where the per-word loop would leave them; traces must not be
-        active (bulk operations model setup work, not priced commands).
+        ``direct`` is the number of accesses the caller made on region
+        words directly (it counted and recorded them itself); a
+        count-only trace adds them to its length.
         """
-        if self._trace is not None:
-            raise RuntimeError("bulk_update inside an access trace")
-        if extra_reads < 0 or extra_writes < 0:
-            raise ValueError("extra_reads/extra_writes must be >= 0")
-        sram = self._require_frozen()
-        r = self._regions[region]
-        base, words = r.base, r.words
-        pairs = pairs if type(pairs) is list else list(pairs)
-        n = len(pairs)
-        if pairs:
-            # one bounds scan over the region-relative indexes; the
-            # frozen layout guarantees the rebased addresses fit, so the
-            # store is a single C-level dict.update (same intra-package
-            # coupling as read/write above)
-            idxs = [p[0] for p in pairs]
-            lo, hi = min(idxs), max(idxs)
-            if lo < 0 or hi >= words:
-                bad = lo if lo < 0 else hi
-                raise IndexError(
-                    f"region {region!r}: index {bad} out of range "
-                    f"[0, {words})")
-            if base:
-                pairs = [(i + base, v) for i, v in pairs]
-            sram._words.update(pairs)
-        sram.read_count += extra_reads
-        sram.write_count += n + extra_writes
-        self.reads_by_region[region] += extra_reads
-        self.writes_by_region[region] += n + extra_writes
+        trace, count = self._trace, self._trace_n
+        if trace is not None:
+            self._trace = None
+            return trace
+        if count is None:
+            raise RuntimeError("end_trace without start_trace")
+        self._trace_n = None
+        n = count + direct
+        return _SPANS[n] if n < len(_SPANS) else range(n)
+
+    # ------------------------------------------------------------- state
+
+    def state_dict(self) -> Dict[str, Dict[str, Any]]:
+        """Every region's ``words``, ``reads`` and ``writes`` (copies,
+        JSON-ready) -- the whole memory state, for checkpoints and
+        identity checks."""
+        return {name: {"words": list(r.words), "reads": r.reads,
+                       "writes": r.writes}
+                for name, r in self._regions.items()}
+
+    def load_state(self, state: Dict[str, Dict[str, Any]]) -> None:
+        """Restore :meth:`state_dict` output into this (frozen) layout.  The
+        word lists are refilled in place: direct users keep their
+        references."""
+        if set(state) != set(self._regions):
+            raise ValueError(f"state regions {sorted(state)} do not match "
+                             f"the layout {sorted(self._regions)}")
+        for name, st in state.items():
+            r = self._regions[name]
+            if len(st["words"]) != r.size:
+                raise ValueError(f"region {name!r}: state has "
+                                 f"{len(st['words'])} words, layout has "
+                                 f"{r.size}")
+            r.words[:] = st["words"]
+            r.reads = st["reads"]
+            r.writes = st["writes"]
 
     # ----------------------------------------------------------- counters
 
     @property
+    def reads_by_region(self) -> Dict[str, int]:
+        return {name: r.reads for name, r in self._regions.items()}
+
+    @property
+    def writes_by_region(self) -> Dict[str, int]:
+        return {name: r.writes for name, r in self._regions.items()}
+
+    @property
     def total_reads(self) -> int:
-        return sum(self.reads_by_region.values())
+        return sum(r.reads for r in self._regions.values())
 
     @property
     def total_writes(self) -> int:
-        return sum(self.writes_by_region.values())
+        return sum(r.writes for r in self._regions.values())
 
     @property
     def total_accesses(self) -> int:
         return self.total_reads + self.total_writes
 
     def reset_counters(self) -> None:
-        for name in self.reads_by_region:
-            self.reads_by_region[name] = 0
-            self.writes_by_region[name] = 0
-        if self._sram is not None:
-            self._sram.reset_counters()
+        for r in self._regions.values():
+            r.reads = 0
+            r.writes = 0
 
     # ---------------------------------------------------------- internals
 
-    def _require_frozen(self) -> ZbtSram:
-        if self._sram is None:
+    def _checked(self, region: str, index: int) -> Region:
+        if not self._frozen:
             raise RuntimeError("layout not frozen; call freeze() first")
-        return self._sram
+        r = self._regions[region]
+        # guard negatives explicitly: list indexing would wrap them
+        if not 0 <= index < r.size:
+            raise IndexError(
+                f"region {region!r}: index {index} out of range "
+                f"[0, {r.size})")
+        return r
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -42,7 +42,7 @@ push-out run on the MMS's two-level
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.queueing.errors import QueueEmptyError
 from repro.queueing.freelist import NIL, FreeList
@@ -57,12 +57,10 @@ LEN_SHIFT = LINK_BITS + 1
 
 @dataclass(frozen=True)
 class SegmentMeta:
-    """Metadata carried in a segment's pointer word (+ shadow fields)."""
+    """Metadata carried in a segment's pointer word."""
 
     eop: bool = False
     length: int = 64
-    pid: int = -1   # shadow only (not in SRAM): owning packet id
-    index: int = 0  # shadow only: segment index within packet
 
     def __post_init__(self) -> None:
         if not 1 <= self.length <= 64:
@@ -72,8 +70,7 @@ class SegmentMeta:
 class SegmentQueueManager:
     """Flat single-linked segment queues with a shared free list."""
 
-    def __init__(self, num_queues: int, num_slots: int,
-                 anchors_in_memory: bool = True) -> None:
+    def __init__(self, num_queues: int, num_slots: int) -> None:
         if num_queues < 1:
             raise ValueError(f"num_queues must be >= 1, got {num_queues}")
         if num_slots < 1:
@@ -87,11 +84,8 @@ class SegmentQueueManager:
         self.mem.add_region("globals", 2)
         self.mem.freeze()
         self.free = FreeList(self.mem, num_slots,
-                             anchors_in_memory=anchors_in_memory,
                              next_region="next", globals_region="globals")
         self.free.initialize()
-        self._shadow: Dict[int, SegmentMeta] = {}
-        self._lengths = [0] * num_queues
         self.mem.reset_counters()  # initialization traffic is boot-time
 
     # ----------------------------------------------- free-list sub-ops
@@ -149,12 +143,11 @@ class SegmentQueueManager:
                 self.mem.write("next", packet_head_slot, head_word)
         finally:
             trace = self.mem.end_trace()
-        self._shadow[slot] = meta
-        self._lengths[queue] += 1
         return trace
 
     def unlink_segment(self, queue: int) -> Tuple[int, SegmentMeta, List[AccessRecord]]:
-        """'Dequeue Segment': unlink the queue's head segment."""
+        """'Dequeue Segment': unlink the queue's head segment; its
+        metadata is decoded from the pointer word."""
         self._check_queue(queue)
         self.mem.start_trace()
         try:
@@ -169,8 +162,8 @@ class SegmentQueueManager:
                 self.mem.write("qtail", queue, NIL)
         finally:
             trace = self.mem.end_trace()
-        meta = self._shadow.pop(slot)
-        self._lengths[queue] -= 1
+        meta = SegmentMeta(eop=bool(word & EOP_BIT),
+                           length=(word >> LEN_SHIFT) + 1)
         return slot, meta, trace
 
     # ------------------------------------------------- composed segment ops
@@ -191,31 +184,6 @@ class SegmentQueueManager:
         slot, meta, t1 = self.unlink_segment(queue)
         t2 = self.release(slot)
         return slot, meta, t1 + t2
-
-    # ------------------------------------------------------------ queries
-
-    def queue_length(self, queue: int) -> int:
-        """Occupancy in segments (python-side, no SRAM accesses)."""
-        self._check_queue(queue)
-        return self._lengths[queue]
-
-    def is_empty(self, queue: int) -> bool:
-        return self.queue_length(queue) == 0
-
-    def walk_queue(self, queue: int) -> List[int]:
-        """Debug walk of a queue's slots, head to tail (counted reads)."""
-        self._check_queue(queue)
-        slots = []
-        cur = self.mem.read("qhead", queue)
-        while cur != NIL:
-            slot = self._dec(cur)
-            slots.append(slot)
-            cur = self.mem.read("next", slot) & LINK_MASK
-        return slots
-
-    @property
-    def free_slots(self) -> int:
-        return self.free.free_count
 
     # --------------------------------------------------------- internals
 

@@ -5,6 +5,7 @@ validation."""
 import dataclasses
 import inspect
 import json
+import pathlib
 import types
 
 import pytest
@@ -78,6 +79,39 @@ def test_documents_with_a_retired_config_field_still_resume():
     doc["params"]["config"]["keep_samples"] = False
     resumed = StreamRun.resume(Checkpoint.from_json(json.dumps(doc)))
     assert resumed.finish() == base
+
+
+def test_documents_in_the_address_space_layout_still_resume():
+    """Documents written while the pointer memory was one sparse address
+    space (``"words"`` keyed by global address, ``"sram_counts"`` and a
+    ``"shadow"`` entry per live segment) load into the per-region word
+    lists and resume to the unbroken result.  The fixture was written by
+    that code: LQD on incast, 240 arrivals over 32 flows, split at 11 us
+    with open packets, recycled free lists and a push-out behind it."""
+    doc = (pathlib.Path(__file__).parent / "data"
+           / "lqd_incast_address_space.json").read_text()
+    pqm = json.loads(doc)["state"]["machine"]["pqm"]
+    assert {"words", "sram_counts", "shadow"} <= set(pqm)
+    assert "regions" not in pqm
+    cfg = dataclasses.replace(OVERLOAD_MMS_CFG, policy=PolicySpec("lqd"),
+                              policy_seed=11, policy_records=True)
+    params = overload_params(cfg, "incast", num_arrivals=240,
+                             active_flows=32)
+    unbroken = StreamRun.fresh("overload", params)
+    unbroken.run(json.loads(doc)["at_ps"])
+    resumed = StreamRun.resume(Checkpoint.from_json(doc))
+    assert resumed.eng.pqm.state_dict() == unbroken.eng.pqm.state_dict()
+    assert resumed.finish() == unbroken.finish()
+
+
+def test_queue_state_of_another_configuration_is_refused():
+    run = StreamRun.fresh("overload", _overload())
+    run.run(run.horizon // 4)
+    doc = run.checkpoint().to_dict()
+    regions = doc["state"]["machine"]["pqm"]["regions"]
+    regions["seg_next"]["words"].append(0)
+    with pytest.raises(CheckpointError, match="seg_next"):
+        StreamRun.resume(Checkpoint.from_json(json.dumps(doc)))
 
 
 # ---------------------------------------------- structural absence

@@ -63,16 +63,10 @@ class Capture:
         self.final = {}
 
     def snapshot_final(self, pqm, policy, now, commands_executed):
-        mem = pqm.mem
         self.final = {
-            "words": dict(mem._sram._words),
-            "reads": dict(mem.reads_by_region),
-            "writes": dict(mem.writes_by_region),
-            "sram_counts": (mem._sram.read_count, mem._sram.write_count),
-            "free": (pqm.free_segments, pqm.free_descriptors),
-            "queued_p": list(pqm._queued_packets),
-            "queued_s": list(pqm._queued_segments),
-            "shadow": dict(pqm._seg_shadow),
+            # words and counters per region, free-list registers,
+            # per-slot shadows and per-flow depths
+            "pqm": pqm.state_dict(),
             "now": now,
             "executed": commands_executed,
         }
@@ -91,8 +85,8 @@ class Capture:
 def _capture_mem(cap, mem):
     orig_end = mem.end_trace
 
-    def end_trace():
-        trace = orig_end()
+    def end_trace(*direct):
+        trace = orig_end(*direct)
         cap.traces.append(tuple(trace))
         return trace
 

@@ -1,7 +1,7 @@
 """Bulk queueing operations: identity against their per-word loops.
 
-``FreeList.reserve`` and ``PacketQueueManager.bulk_prefill`` exist only
-for speed; these tests pin the contract that makes them safe -- state
+``RegisterFreeList.reserve`` and ``PacketQueueManager.bulk_prefill`` exist
+only for speed; these tests pin the contract that makes them safe -- state
 and access counters equal to the sequential operations they replace,
 bit for bit.
 """
@@ -10,34 +10,27 @@ import pytest
 
 from repro.policies import PolicySpec, make_policy
 from repro.queueing import PacketQueueManager
-from repro.queueing.freelist import NIL, FreeList, OutOfBuffersError
+from repro.queueing.freelist import NIL, OutOfBuffersError, RegisterFreeList
+from repro.queueing.packet_queues import LINK_MASK
 from repro.queueing.pointer_memory import PointerMemory
 
 
-def fresh_mem(slots=64, anchors=False):
+def fresh_mem(slots=64):
     mem = PointerMemory()
     mem.add_region("next", slots)
-    if anchors:
-        mem.add_region("globals", 2)
     mem.freeze()
-    fl = FreeList(mem, slots, anchors_in_memory=anchors)
-    fl.initialize()
-    return mem, fl
+    return mem, RegisterFreeList(mem.region("next"), LINK_MASK)
 
 
 def state(mem, fl):
-    return (dict(mem._sram._words), dict(mem.reads_by_region),
-            dict(mem.writes_by_region),
-            (mem._sram.read_count, mem._sram.write_count),
-            fl.free_count, fl._reg_head, fl._reg_tail)
+    return mem.state_dict(), fl.state_dict()
 
 
-@pytest.mark.parametrize("anchors", [False, True])
 @pytest.mark.parametrize("count", [1, 7, 64])
-def test_reserve_equals_pop_loop(anchors, count):
-    mem_a, fl_a = fresh_mem(anchors=anchors)
-    mem_b, fl_b = fresh_mem(anchors=anchors)
-    popped = [fl_a.pop() for _ in range(count)]
+def test_reserve_equals_pop_loop(count):
+    mem_a, fl_a = fresh_mem()
+    mem_b, fl_b = fresh_mem()
+    popped = [fl_a.pop(None) for _ in range(count)]
     reserved = fl_b.reserve(count)
     assert popped == reserved
     assert state(mem_a, fl_a) == state(mem_b, fl_b)
@@ -48,10 +41,10 @@ def test_reserve_equals_pop_loop_after_churn():
     mem_a, fl_a = fresh_mem()
     mem_b, fl_b = fresh_mem()
     for fl in (fl_a, fl_b):
-        taken = [fl.pop() for _ in range(10)]
+        taken = [fl.pop(None) for _ in range(10)]
         for s in reversed(taken):
-            fl.push(s)
-    popped = [fl_a.pop() for _ in range(20)]
+            fl.push(s, s, 1, None)
+    popped = [fl_a.pop(None) for _ in range(20)]
     assert popped == fl_b.reserve(20)
     assert state(mem_a, fl_a) == state(mem_b, fl_b)
 
@@ -67,8 +60,8 @@ def test_reserve_rejects_oversubscription_without_state_change():
 def test_reserve_drains_tail_anchor():
     _mem, fl = fresh_mem(slots=8)
     fl.reserve(8)
-    assert fl.free_count == 0
-    assert fl._reg_head == NIL and fl._reg_tail == NIL
+    assert fl.free == 0
+    assert fl.head == NIL and fl.tail == NIL
 
 
 # -------------------------------------------------------- bulk_prefill
@@ -82,19 +75,9 @@ def build_pqm(policy_name=None):
 
 
 def pqm_state(pqm):
-    mem = pqm.mem
-    st = {
-        "words": dict(mem._sram._words),
-        "reads": dict(mem.reads_by_region),
-        "writes": dict(mem.writes_by_region),
-        "sram": (mem._sram.read_count, mem._sram.write_count),
-        "free": (pqm.free_segments, pqm.free_descriptors),
-        "heads": (pqm.seg_free._reg_head, pqm.seg_free._reg_tail,
-                  pqm.desc_free._reg_head, pqm.desc_free._reg_tail),
-        "qp": list(pqm._queued_packets),
-        "qs": list(pqm._queued_segments),
-        "shadow": dict(pqm._seg_shadow),
-    }
+    # words and counters per region, free-list registers, per-slot
+    # shadows and per-flow depths
+    st = pqm.state_dict()
     if pqm.policy is not None:
         st["policy"] = (dict(pqm.policy.queue_segments),
                         dict(pqm.policy.queue_bytes),

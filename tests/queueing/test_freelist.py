@@ -1,18 +1,25 @@
-"""Tests for free-list management."""
+"""Tests for free-list management: the software list with its anchors
+in SRAM (``FreeList``) and the MMS list with its anchors in registers
+(``RegisterFreeList``)."""
 
 import pytest
 
 from repro.queueing import FreeList, OutOfBuffersError, PointerMemory
+from repro.queueing.freelist import RegisterFreeList
+
+LINK_MASK = (1 << 24) - 1
 
 
-def make(slots=8, anchors_in_memory=True, link_mask=None):
+def make(slots=8, anchors_in_memory=True):
     pm = PointerMemory()
     pm.add_region("next", slots)
     pm.add_region("globals", 2)
     pm.freeze()
-    fl = FreeList(pm, slots, anchors_in_memory=anchors_in_memory,
-                  link_mask=link_mask)
-    fl.initialize()
+    if anchors_in_memory:
+        fl = FreeList(pm, slots)
+        fl.initialize()
+    else:
+        fl = RegisterFreeList(pm.region("next"), LINK_MASK)
     pm.reset_counters()
     return pm, fl
 
@@ -67,17 +74,17 @@ def test_push_chain_recovers_from_exhaustion():
     """The MMS delete-packet path: splice a chain back after running
     dry and keep allocating."""
     pm, fl = make(4, anchors_in_memory=False)
-    slots = [fl.pop() for _ in range(4)]
+    slots = [fl.pop(None) for _ in range(4)]
     with pytest.raises(OutOfBuffersError):
-        fl.pop()
+        fl.pop(None)
     # hand-link slots[0] -> slots[1] -> slots[2] and splice the chain
     pm.write("next", slots[0], slots[1] + 1)
     pm.write("next", slots[1], slots[2] + 1)
-    fl.push_chain(slots[0], slots[2], 3)
-    assert fl.free_count == 3
-    assert [fl.pop() for _ in range(3)] == slots[:3]
+    fl.push(slots[0], slots[2], 3, None)
+    assert fl.free == 3
+    assert [fl.pop(None) for _ in range(3)] == slots[:3]
     with pytest.raises(OutOfBuffersError) as ei:
-        fl.pop()
+        fl.pop(None)
     assert ei.value.slots_in_use == 4
 
 def test_push_pop_cycle_preserves_count():
@@ -132,47 +139,50 @@ def test_anchor_in_memory_access_counts():
 
 def test_register_anchor_access_counts():
     """Hardware free list: anchors in flip-flops; pop = 1 read,
-    push = 2 writes."""
+    push = 2 writes -- recorded, returned and counted alike."""
     pm, fl = make(8, anchors_in_memory=False)
-    pm.start_trace()
-    slot = fl.pop()
-    assert len(pm.end_trace()) == 1
-    pm.start_trace()
-    fl.push(slot)
-    assert len(pm.end_trace()) == 2
+    rec = pm.start_trace()
+    slot = fl.pop(rec)
+    assert len(pm.end_trace(1)) == 1
+    rec = pm.start_trace()
+    assert fl.push(slot, slot, 1, rec) == 2
+    assert len(pm.end_trace(2)) == 2
+    assert (pm.total_reads, pm.total_writes) == (1, 2)
 
 def test_push_chain_splices_in_constant_accesses():
     pm, fl = make(8, anchors_in_memory=False)
-    a, b, c = fl.pop(), fl.pop(), fl.pop()
+    a, b, c = fl.pop(None), fl.pop(None), fl.pop(None)
     # hand-link a -> b -> c through the next region
     pm.write("next", a, b + 1)
     pm.write("next", b, c + 1)
     pm.reset_counters()
-    pm.start_trace()
-    fl.push_chain(a, c, 3)
-    trace = pm.end_trace()
+    rec = pm.start_trace()
+    n = fl.push(a, c, 3, rec)
+    trace = pm.end_trace(n)
     assert len(trace) == 2  # W next[last]=NIL, W next[old_tail]=first
-    assert fl.free_count == 8
-    assert sorted(fl.pop() for _ in range(8)) == list(range(8))
+    assert fl.free == 8
+    assert sorted(fl.pop(None) for _ in range(8)) == list(range(8))
 
 def test_push_chain_validation():
-    _pm, fl = make(4)
+    _pm, fl = make(4, anchors_in_memory=False)
     with pytest.raises(ValueError):
-        fl.push_chain(0, 1, 0)
+        fl.push(0, 1, 0, None)
     with pytest.raises(ValueError):
-        fl.push_chain(0, 9, 1)
+        fl.push(0, 9, 1, None)
+    with pytest.raises(ValueError):
+        fl.push(-1, 1, 1, None)
 
 def test_link_mask_strips_metadata_on_pop():
     """Interior words of a spliced chain keep packed metadata above the
     link field; pop must mask it off."""
-    pm, fl = make(4, anchors_in_memory=False, link_mask=(1 << 24) - 1)
-    a, b = fl.pop(), fl.pop()
+    pm, fl = make(4, anchors_in_memory=False)
+    a, b = fl.pop(None), fl.pop(None)
     meta_bits = 1 << 24  # pretend EOP bit
     pm.write("next", a, (b + 1) | meta_bits)
-    fl.push_chain(a, b, 2)
-    got_a = fl.pop()  # reads a's word, must mask the meta bits
+    fl.push(a, b, 2, None)
+    got_a = fl.pop(None)  # reads a's word, must mask the meta bits
     assert got_a is not None
-    got_rest = [fl.pop() for _ in range(3)]
+    got_rest = [fl.pop(None) for _ in range(3)]
     assert sorted([got_a] + got_rest) == [0, 1, 2, 3]
 
 def test_zero_slots_rejected():

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.queueing import OutOfBuffersError, PacketQueueManager, QueueEmptyError
+from repro.queueing import (
+    OutOfBuffersError,
+    PacketQueueManager,
+    PointerMemory,
+    QueueEmptyError,
+)
 
 
 def make(flows=8, segments=128, descriptors=32):
@@ -371,3 +376,36 @@ def test_constructor_validation():
         PacketQueueManager(0, 8)
     with pytest.raises(ValueError):
         PacketQueueManager(2, 0)
+
+
+@pytest.mark.parametrize("sizes, bad", [
+    ({"num_segments": 8, "num_descriptors": 0},
+     r"num_descriptors must be in \[1, 16777215\].* got 0"),
+    ({"num_segments": 0, "num_descriptors": 8}, "num_segments .* got 0"),
+    ({"num_segments": 2 ** 24}, "num_segments .* got 16777216"),
+    ({"num_segments": 8, "num_descriptors": 2 ** 24},
+     "num_descriptors .* got 16777216"),
+])
+def test_sizes_a_link_cannot_encode_are_refused_before_allocating(
+        monkeypatch, sizes, bad):
+    """A 24-bit link stores slot + 1, so slot 2**24 - 1 would encode as
+    NIL; and 0 descriptors is an error, not "as many as segments"."""
+    def refuse(*_args):
+        raise AssertionError("allocated before validating")
+
+    monkeypatch.setattr(PointerMemory, "add_region", refuse)
+    with pytest.raises(ValueError, match=bad):
+        PacketQueueManager(num_flows=2, **sizes)
+
+
+def test_largest_encodable_sizes_pass_validation(monkeypatch):
+    reached = []
+
+    def stop(_mem, name, words):
+        reached.append((name, words))
+        raise LookupError("stop before allocating")
+
+    monkeypatch.setattr(PointerMemory, "add_region", stop)
+    with pytest.raises(LookupError):
+        PacketQueueManager(num_flows=2, num_segments=2 ** 24 - 1)
+    assert reached == [("seg_next", 2 ** 24 - 1)]

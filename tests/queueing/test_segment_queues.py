@@ -15,29 +15,29 @@ def make(queues=4, slots=64, **kw):
 
 def test_fifo_order_single_queue():
     m = make()
-    s1, _ = m.enqueue(0, SegmentMeta(pid=1))
-    s2, _ = m.enqueue(0, SegmentMeta(pid=2))
-    s3, _ = m.enqueue(0, SegmentMeta(pid=3))
+    s1, _ = m.enqueue(0, SegmentMeta(length=1))
+    s2, _ = m.enqueue(0, SegmentMeta(length=2))
+    s3, _ = m.enqueue(0, SegmentMeta(length=3))
     out = [m.dequeue(0)[0] for _ in range(3)]
     assert out == [s1, s2, s3]
 
 def test_queues_are_independent():
     m = make()
-    a, _ = m.enqueue(0, SegmentMeta(pid=1))
-    b, _ = m.enqueue(1, SegmentMeta(pid=2))
+    a, _ = m.enqueue(0, SegmentMeta(length=1))
+    b, _ = m.enqueue(1, SegmentMeta(length=2))
     slot, meta, _t = m.dequeue(1)
     assert slot == b
-    assert meta.pid == 2
-    assert m.queue_length(0) == 1
+    assert meta.length == 2
+    assert m.dequeue(0)[:2] == (a, SegmentMeta(length=1))
 
 def test_meta_roundtrip_through_sram_words():
     m = make()
-    meta_in = SegmentMeta(eop=True, length=17, pid=9, index=3)
+    meta_in = SegmentMeta(eop=True, length=17)
     m.enqueue(2, meta_in)
+    m.enqueue(2, SegmentMeta())  # rewrites the first word's link
     _slot, meta_out, _t = m.dequeue(2)
     assert meta_out.eop
     assert meta_out.length == 17
-    assert meta_out.pid == 9
 
 def test_dequeue_empty_raises():
     m = make()
@@ -57,7 +57,7 @@ def test_slots_recycled_after_dequeue():
         m.enqueue(0)
     m.dequeue(0)
     m.enqueue(1)  # must not raise
-    assert m.free_slots == 0
+    assert m.free.free_count == 0
 
 def test_queue_validation():
     m = make(queues=2)
@@ -65,12 +65,6 @@ def test_queue_validation():
         m.enqueue(2)
     with pytest.raises(ValueError):
         m.dequeue(-1)
-
-def test_walk_queue_matches_fifo():
-    m = make()
-    slots = [m.enqueue(0)[0] for _ in range(5)]
-    assert m.walk_queue(0) == slots
-    m.mem.reset_counters()
 
 # ------------------------------------------------ paper access patterns
 
@@ -117,7 +111,8 @@ def test_unlink_last_clears_tail_four_accesses():
     m.enqueue(0)
     _slot, _meta, trace = m.unlink_segment(0)
     assert len(trace) == 4  # + W qtail = NIL
-    assert m.is_empty(0)
+    with pytest.raises(QueueEmptyError):
+        m.unlink_segment(0)
 
 # ----------------------------------------------------------- invariants
 
@@ -131,26 +126,27 @@ def test_property_matches_reference_deques(ops):
 
     m = make(queues=4, slots=32)
     ref = [deque() for _ in range(4)]
-    next_pid = 0
+    n = 0
     for op, q in ops:
         if op == "enq":
-            if m.free_slots == 0:
+            if m.free.free_count == 0:
                 continue
-            slot, _ = m.enqueue(q, SegmentMeta(pid=next_pid))
-            ref[q].append((slot, next_pid))
-            next_pid += 1
+            meta = SegmentMeta(eop=n % 2 == 0, length=1 + n % 64)
+            slot, _ = m.enqueue(q, meta)
+            ref[q].append((slot, meta))
+            n += 1
         else:
             if not ref[q]:
                 with pytest.raises(QueueEmptyError):
                     m.dequeue(q)
                 continue
-            want_slot, want_pid = ref[q].popleft()
+            want_slot, want_meta = ref[q].popleft()
             slot, meta, _ = m.dequeue(q)
             assert slot == want_slot
-            assert meta.pid == want_pid
+            assert meta == want_meta
         # conservation: free + queued == total
-        queued = sum(m.queue_length(i) for i in range(4))
-        assert m.free_slots + queued == 32
+        queued = sum(len(r) for r in ref)
+        assert m.free.free_count + queued == 32
 
 def test_segment_meta_length_validation():
     with pytest.raises(ValueError):
