@@ -3,7 +3,7 @@
     python benchmarks/gates.py
 
 The ledger (``python -m benchmarks.ledger``) holds the metrics of
-record.  This module times the three floors it has no field for and
+record.  This module times the four floors it has no field for and
 exits 1 if any of them is violated:
 
 * Table 1 (fast budget): the DDR bank fastpath at least 2x faster than
@@ -12,6 +12,10 @@ exits 1 if any of them is violated:
   decide it; both engines must report ``==`` metrics.
 * Table 5 (full budget): the stream machine at least 3x faster than the
   reference kernel, read the same way.
+* Table 2: the DES-free IXP machine at least 10x faster than the
+  generator model on the kernel, read the same way.  The machine jumps
+  whole steady-state periods to the horizon; without the jump it is
+  about 3x.
 * Serve: at least 20 cached requests per second, each a submit and a
   result fetch over HTTP against a daemon on an ephemeral port.  A
   cache hit must stay a lookup, never a re-simulation.
@@ -40,6 +44,7 @@ from repro.scenarios import Runner                                 # noqa: E402
 
 TABLE1_SPEEDUP_FLOOR = 2.0
 TABLE5_STREAM_SPEEDUP_FLOOR = 3.0
+TABLE2_SPEEDUP_FLOOR = 10.0
 SERVE_CACHED_RPS_FLOOR = 20.0
 
 #: Alternating reference/fast pairs per speedup reading.
@@ -53,6 +58,8 @@ GATES = (
      "Table 1 DDR fastpath vs the reference walk (x)"),
     ("table5_stream_speedup", TABLE5_STREAM_SPEEDUP_FLOOR,
      "Table 5 stream machine vs the reference kernel (x)"),
+    ("table2_speedup", TABLE2_SPEEDUP_FLOOR,
+     "Table 2 IXP machine vs the reference kernel (x)"),
     ("serve_cached_rps", SERVE_CACHED_RPS_FLOOR,
      "cached serve throughput (req/s)"),
 )
@@ -144,6 +151,7 @@ def measure() -> dict:
     return {
         "table1_speedup": speedup("table1", fast=True),
         "table5_stream_speedup": speedup("table5", fast=False),
+        "table2_speedup": speedup("table2", fast=False),
         "serve_cached_rps": serve_cached_rps(),
     }
 

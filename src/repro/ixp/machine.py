@@ -21,11 +21,25 @@ The machine keeps the kernel's ordering contract, so every
 * an immediate grant runs in the same step, without a yield;
 * ``run(until)`` stops at the first wake strictly past the horizon.
 
-The controller wait mean (:meth:`repro.sim.stats.RunningStats.add`'s
-Welford recurrence) and the port busy integral
-(:meth:`repro.sim.stats.TimeWeighted.record`) are folded inline in the
-kernel's call order, so the floats match bit for bit
-(``tests/ixp/test_machine.py``).
+Nothing in the loop draws a random number, so a saturated run settles
+into a repeating period.  At each ``_WORK_DONE`` of context 0 the
+machine keys its state relative to ``now`` -- the wake heap in pop
+order, the port and pipeline flags and waiters, ``left``, and the
+access-start and busy-change times -- and stores the accumulators
+beside it.  On the first repeat, with period ``T`` since the matching
+snapshot, it jumps ``(until - now) // T - 1`` whole periods: every
+pending time shifts by the same amount (which keeps the heap's order)
+and each accumulator gains that many per-period deltas.  The last
+period or more is stepped, so the horizon and its tie rules are the
+stepped run's.  A run whose transient outlasts the horizon (1024
+queues on six multithreaded engines) steps throughout.
+
+The statistics are integers so that a jump is exact: the controller
+wait is a picosecond sum divided once at the end (the reference
+:class:`~repro.ixp.memory_units.SharedMemoryUnit` keeps the same sum),
+and the port busy integral is the integer form of
+:meth:`repro.sim.stats.TimeWeighted.record`'s, which stays exact in its
+float (``tests/ixp/test_machine.py``).
 """
 
 from __future__ import annotations
@@ -121,13 +135,16 @@ class IxpMachine:
         port_waiters: Deque[int] = deque()
         busy_value = 0
         busy_last = 0
-        integral = 0.0
+        integral = 0
         wait_count = 0
-        wait_mean = 0.0
+        wait_total = 0
         # per-engine pipeline (multithreaded mode)
         pipe_busy = [False] * self.num_engines
         pipe_waiters: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(self.num_engines)]
+        # state key -> accumulators at context 0's work completions,
+        # until the first repeat (see the module docstring)
+        seen: Optional[dict] = {}
 
         # spawn: one push per context, in spawn order
         heap = [(0, c + 1, _START, c) for c in range(contexts)]
@@ -150,7 +167,7 @@ class IxpMachine:
                 continue
             if kind == _PORT_GRANTED:
                 wait_count += 1
-                wait_mean += (now - t0[c] - wait_mean) / wait_count
+                wait_total += now - t0[c]
                 seq += 1
                 heappush(heap, (now + service_ps, seq, _SERVICE_DONE, c))
                 continue
@@ -166,6 +183,32 @@ class IxpMachine:
                         heappush(heap, (now + ctx_ps, seq, _CTX_DONE, c))
                     continue
             elif kind == _WORK_DONE:
+                if c == 0 and seen is not None:
+                    key = (tuple([(t - now, k, w)
+                                  for t, _, k, w in sorted(heap)]),
+                           port_busy, tuple(port_waiters), tuple(left),
+                           tuple([now - t for t in t0]), now - busy_last,
+                           tuple(pipe_busy), tuple(map(tuple, pipe_waiters)))
+                    prev = seen.get(key)
+                    if prev is None:
+                        seen[key] = (now, done[:], wait_count, wait_total,
+                                     integral)
+                    elif now > prev[0]:  # a zero period cannot be jumped
+                        period = now - prev[0]
+                        jumps = (until - now) // period - 1
+                        if jumps > 0:
+                            shift = jumps * period
+                            heap = [(t + shift, s, k, w)
+                                    for t, s, k, w in heap]
+                            t0 = [t + shift for t in t0]
+                            busy_last += shift
+                            now += shift
+                            done = [d + jumps * (d - d0)
+                                    for d, d0 in zip(done, prev[1])]
+                            wait_count += jumps * (wait_count - prev[2])
+                            wait_total += jumps * (wait_total - prev[3])
+                            integral += jumps * (integral - prev[4])
+                        seen = None
                 left[c] = accesses
             elif kind == _ENGINE_MID:
                 seq += 1
@@ -206,7 +249,6 @@ class IxpMachine:
                     busy_value = 1
                     busy_last = now
                     wait_count += 1
-                    wait_mean += (0 - wait_mean) / wait_count
                     seq += 1
                     heappush(heap, (now + service_ps, seq, _SERVICE_DONE, c))
                 continue
@@ -231,7 +273,8 @@ class IxpMachine:
             packets=sum(done),
             duration_ps=until,
             unit_utilization=utilization,
-            mean_controller_wait_cycles=(wait_mean / timing.period_ps
-                                         if wait_count else 0.0),
+            mean_controller_wait_cycles=(
+                wait_total / (wait_count * timing.period_ps)
+                if wait_count else 0.0),
             engine="fast",
         )

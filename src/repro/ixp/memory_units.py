@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.sim import Resource, Simulator
-from repro.sim.stats import LatencyRecorder
 
 
 class SharedMemoryUnit:
@@ -32,7 +31,9 @@ class SharedMemoryUnit:
         self.name = name
         self._port = Resource(sim, slots=1, name=f"{name}.port")
         self.total_accesses = 0
-        self.wait = LatencyRecorder(f"{name}.wait")
+        #: controller waits: an integer picosecond sum and its count
+        self.wait_total_ps = 0
+        self.wait_count = 0
         self._service_ps = service_ps
         self._overhead_ps = overhead_ps
 
@@ -44,7 +45,8 @@ class SharedMemoryUnit:
         """
         t0 = self.sim.now
         yield from self._port.acquire()
-        self.wait.record(self.sim.now - t0)
+        self.wait_total_ps += self.sim.now - t0
+        self.wait_count += 1
         yield self._service_ps
         self._port.release()
         yield self._overhead_ps
@@ -57,6 +59,6 @@ class SharedMemoryUnit:
 
     @property
     def mean_wait_cycles(self) -> float:
-        if self.wait.count == 0:
+        if self.wait_count == 0:
             return 0.0
-        return self.wait.mean / self.period_ps
+        return self.wait_total_ps / (self.wait_count * self.period_ps)

@@ -509,11 +509,11 @@ class PacketQueueManager:
         append returns a :class:`DroppedSegment` marker.
         """
         self._check_flow(flow)
+        # preconditions first: admission (push-outs, stats) and the
+        # free-list pop must not happen for an operation that raises
+        if self._qa.words[flow] & LINK_MASK == NIL:
+            raise QueueEmptyError(f"flow {flow} has no queued packet")
         if self.policy is not None:
-            # preconditions first: admission has side effects (push-outs,
-            # stats) that must not happen for an operation that raises
-            if self._qa.words[flow] & LINK_MASK == NIL:
-                raise QueueEmptyError(f"flow {flow} has no queued packet")
             reason = self._admit(flow, SEGMENT_BYTES, needs_desc_check=False,
                                  protect=(flow,))
             if reason is not None:
@@ -545,20 +545,20 @@ class PacketQueueManager:
         self._check_flow(flow)
         if not 1 <= length <= SEGMENT_BYTES:
             raise ValueError(f"length must be in [1, {SEGMENT_BYTES}], got {length}")
+        # preconditions first (see append_head); a short mid-packet
+        # segment would break the structure invariant, so callers must
+        # overwrite-length to 64 first
+        head_enc = self._qa.words[flow] & LINK_MASK
+        if head_enc == NIL:
+            raise QueueEmptyError(f"flow {flow} has no queued packet")
+        _f, last_slot, _n = self._unpack_desc(self._ds.words[head_enc - 1])
+        last_len = (self._sn.words[last_slot] >> LEN_SHIFT) + 1
+        if last_len != SEGMENT_BYTES:
+            raise ValueError(
+                "cannot append behind a short last segment "
+                f"(length {last_len})"
+            )
         if self.policy is not None:
-            # preconditions first (see append_head): a raising append
-            # must not have pushed out an innocent packet or touched
-            # the stats
-            head_enc = self._qa.words[flow] & LINK_MASK
-            if head_enc == NIL:
-                raise QueueEmptyError(f"flow {flow} has no queued packet")
-            _f, last_slot, _n = self._unpack_desc(self._ds.words[head_enc - 1])
-            last_len = (self._sn.words[last_slot] >> LEN_SHIFT) + 1
-            if last_len != SEGMENT_BYTES:
-                raise ValueError(
-                    "cannot append behind a short last segment "
-                    f"(length {last_len})"
-                )
             reason = self._admit(flow, length, needs_desc_check=False,
                                  protect=(flow,))
             if reason is not None:
@@ -570,16 +570,9 @@ class PacketQueueManager:
             slot = self._segs.pop(rec)
             d = self._head_desc(flow)
             first, last, nxt = self._unpack_desc(mem.read(_DS, d))
-            old = self._decode_seg(last, mem.read(_SN, last))
-            if old.length != SEGMENT_BYTES:
-                # a short mid-packet segment would break the structure
-                # invariant; callers must overwrite-length to 64 first
-                raise ValueError(
-                    "cannot append behind a short last segment "
-                    f"(length {old.length})"
-                )
+            mem.read(_SN, last)  # the MMS reads it; length checked above
             # the old last segment loses EOP
-            mem.write(_SN, last, self._pack_seg(slot + 1, False, old.length))
+            mem.write(_SN, last, self._pack_seg(slot + 1, False, SEGMENT_BYTES))
             mem.write(_SN, slot, self._pack_seg(NIL, True, length))
             mem.write(_DS, d, self._pack_desc(first, slot, nxt))
         finally:

@@ -7,6 +7,7 @@ be equal (``==``, floats included), not merely close.
 """
 
 import dataclasses
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -44,12 +45,51 @@ def test_table2_cells_equal_across_engines():
 @pytest.mark.parametrize("multithreading", [False, True])
 @pytest.mark.parametrize("engines", [1, 6])
 def test_queue_grid_equal_across_engines(engines, multithreading):
-    """The rest of the sweep grid, at a shortened duration."""
+    """The rest of the 36-cell sweep grid, at the default duration: with
+    the Table 2 cells above, every cell the ``table2``,
+    ``ablation-multithreading`` and ``sweep-ixp-rate-queues`` scenarios
+    run, each across a period jump but one."""
     for queues in GRID_QUEUES:
         if (queues, engines) in TABLE2_CELLS:
             continue
-        assert_engines_equal(queues, engines, multithreading=multithreading,
-                             duration_ps=40_000_000)
+        assert_engines_equal(queues, engines, multithreading=multithreading)
+
+
+def stepped_wakes(queues, engines, multithreading):
+    """Wakes a full stepping run pops: the kernel model's pushes less
+    what is still pending (no process ever finishes, so no stale
+    entries)."""
+    system = IxpSystem(queues, engines, multithreading=multithreading)
+    system.run()
+    assert system.sim.stale_skips == 0
+    return system.sim._seq - len(system.sim._heap)
+
+
+def machine_pops(monkeypatch, queues, engines, multithreading):
+    pops = []
+
+    def counting(heap):
+        pops.append(None)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr("repro.ixp.machine.heappop", counting)
+    simulate_ixp(queues, engines, multithreading=multithreading)
+    return len(pops)
+
+
+def test_periodic_cell_jumps_to_the_horizon(monkeypatch):
+    """Cell (16, 6) repeats within a few packets: the machine pops under
+    5% of the ~103k wakes a stepping run would."""
+    full = stepped_wakes(16, 6, False)
+    assert full > 100_000
+    assert machine_pops(monkeypatch, 16, 6, False) < 0.05 * full
+
+
+def test_aperiodic_cell_steps_in_full(monkeypatch):
+    """1024 queues on six multithreaded engines is still in its transient
+    at the horizon: no snapshot repeats, so every wake is stepped."""
+    assert (machine_pops(monkeypatch, 1024, 6, True)
+            == stepped_wakes(1024, 6, True))
 
 
 def test_horizon_on_a_packet_completion_counts_it():
@@ -76,6 +116,17 @@ def test_horizon_on_a_contended_wake_instant(multithreading):
                          duration_ps=tie)
 
 
+def test_jump_keys_on_access_start_times():
+    """Here two snapshots agree in everything but how long the port
+    waiters have waited; keyed without the access-start times, the jump
+    extrapolates a wrong wait sum."""
+    params = IxpParams(threads_per_engine=2, base_alu_cycles=5,
+                       bitmap_word_cycles=2, context_switch_cycles=10,
+                       scratch=MemoryCosts(2, 26), sram=MemoryCosts(0, 25),
+                       sdram=MemoryCosts(6, 25))
+    assert_engines_equal(2048, 6, params=params, multithreading=True)
+
+
 costs = st.builds(MemoryCosts, service_cycles=st.integers(0, 12),
                   engine_overhead_cycles=st.integers(0, 30))
 
@@ -88,10 +139,12 @@ costs = st.builds(MemoryCosts, service_cycles=st.integers(0, 12),
        ctx_cycles=st.integers(0, 40),
        alu_cycles=st.integers(0, 60),
        scratch=costs, sram=costs, sdram=costs,
-       duration_ps=st.integers(0, 6_000_000))
+       duration_ps=st.integers(0, 80_000_000))
 def test_small_params_equal_across_engines(queues, engines, multithreading,
                                            threads, ctx_cycles, alu_cycles,
                                            scratch, sram, sdram, duration_ps):
+    """Random small configurations; about half of the horizons reach
+    past the first repeated state, so the jump runs as often as not."""
     params = IxpParams(threads_per_engine=threads,
                        context_switch_cycles=ctx_cycles,
                        base_alu_cycles=alu_cycles,

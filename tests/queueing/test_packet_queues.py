@@ -201,6 +201,23 @@ def test_append_on_empty_queue_raises():
     with pytest.raises(QueueEmptyError):
         m.append_tail(0)
 
+def test_failed_appends_leave_no_trace():
+    """A raising append pops no free segment and changes no state, on
+    an empty flow and behind a short last segment alike."""
+    m = make(segments=16)
+    for call in (lambda: m.append_head(0), lambda: m.append_tail(0)):
+        before = m.state_dict()
+        with pytest.raises(QueueEmptyError):
+            call()
+        assert m.free_segments == 16
+        assert m.state_dict() == before
+    fill_packet(m, 1, 1, last_length=30)
+    before = m.state_dict()
+    with pytest.raises(ValueError, match="short last segment"):
+        m.append_tail(1)
+    assert m.free_segments == 15
+    assert m.state_dict() == before
+
 def test_overwrite_length_and_move_combined():
     m = make()
     fill_packet(m, 0, 1, last_length=64)
