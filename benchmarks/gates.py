@@ -6,8 +6,9 @@ The ledger (``python -m benchmarks.ledger``) holds the metrics of
 record.  This module times the four floors it has no field for and
 exits 1 if any of them is violated:
 
-* Table 1 (fast budget): the DDR bank fastpath at least 2x faster than
-  the reference walk.  The reading is the median of per-pair
+* Table 1 (fast budget): the DDR bank fastpath at least 11x faster than
+  the reference walk (about 0.75x the lowest of 12 readings, 14.7-18.2x,
+  on a 2-vCPU Xeon box).  The reading is the median of per-pair
   reference/fast ratios over alternating pairs, so one slow leg cannot
   decide it; both engines must report ``==`` metrics.
 * Table 5 (full budget): the stream machine at least 3x faster than the
@@ -42,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scenarios import Runner                                 # noqa: E402
 
-TABLE1_SPEEDUP_FLOOR = 2.0
+TABLE1_SPEEDUP_FLOOR = 11.0
 TABLE5_STREAM_SPEEDUP_FLOOR = 3.0
 TABLE2_SPEEDUP_FLOOR = 10.0
 SERVE_CACHED_RPS_FLOOR = 20.0

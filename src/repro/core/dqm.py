@@ -147,8 +147,8 @@ class DataQueueManager:
         #: probed dispatch is swapped in as an instance attribute *only*
         #: when a probe exists, so the probes-off hot path carries no
         #: telemetry call sites at all (structural absence, not an inert
-        #: per-command branch).  ``on_record``/``on_stages`` are
-        #: replayed from :attr:`records` after the run.
+        #: per-command branch).  ``on_records``/``on_stages`` are
+        #: fed from :attr:`records` after the run.
         self.probe = probe
         if probe is not None:
             self._dispatch = self._dispatch_probed  # type: ignore[assignment]

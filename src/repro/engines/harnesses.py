@@ -17,7 +17,7 @@ returned values are *equal*, not approximately equal (asserted by
 ``tests/engines/``).
 
 Probes see ``on_command`` live at the pop instant on both machines;
-``on_record`` and ``on_stages`` are replayed from the records after the
+``on_records`` and ``on_stages`` are fed from the records after the
 run (:func:`replay_records`), which the probe protocol's per-channel
 independence rule permits.
 
@@ -77,17 +77,15 @@ def make_machine(config: MmsConfig, engine: str, probe=None) -> Machine:
 
 
 def replay_records(eng: Machine, probe, horizon: int) -> list:
-    """The run's latency records in delivery order, replayed into the
-    probe's ``on_record`` channel (then its ``on_stages`` channel when
-    it wants stages).  The two channels carry no ordering contract
-    between each other, so replaying them back to back is what every
-    engine does.  The records carry the opcode (``with_ops``) only when
-    there is a probe to replay them into."""
+    """The run's latency records in delivery order, handed to the
+    probe's ``on_records`` channel in one call (then replayed into its
+    ``on_stages`` channel when it wants stages).  The two channels carry
+    no ordering contract between each other, so feeding them back to
+    back is what every engine does.  The records carry the opcode
+    (``with_ops``) only when there is a probe to feed them to."""
     records = eng.latency_records(horizon, with_ops=probe is not None)
     if probe is not None:
-        on_record = probe.on_record
-        for time_ps, fifo_c, exec_c, data_c, e2e_c, op in records:
-            on_record(time_ps, op, fifo_c, exec_c, data_c, e2e_c)
+        probe.on_records(records)
         if getattr(probe, "wants_stages", False):
             on_stages = probe.on_stages
             for (time_ps, seq, op, flow, submit, start, end, dsub,

@@ -200,7 +200,7 @@ class StreamMms:
         #: probed dispatch (emitting ``on_command`` at the pop instant)
         #: and disables the inlined opcode branches; when None, the hot
         #: loop carries no telemetry call sites (structural absence).
-        #: ``on_record`` is replayed from :meth:`latency_records` by the
+        #: ``on_records`` is fed from :meth:`latency_records` by the
         #: workload drivers after the run, as on the kernel.
         self.probe = probe
 

@@ -9,9 +9,9 @@ layer that answers those questions without storing per-command samples:
 * :class:`Probe` -- the observation protocol.  Both execution paths
   (the DES kernels driving :class:`~repro.core.dqm.DataQueueManager`
   and the DES-free :class:`~repro.engines.StreamMms` loop) emit the
-  same two event streams at the same simulated instants: ``on_command``
-  at every DQM dispatch boundary and ``on_record`` at every
-  latency-record delivery.  Because the dispatch/record streams are
+  same two event streams: ``on_command`` at every DQM dispatch
+  boundary and ``on_records`` with the latency records in delivery
+  order.  Because the dispatch/record streams are
   already proven byte-identical across engines (``tests/engines``),
   any deterministic probe observes byte-identical telemetry from
   either engine.

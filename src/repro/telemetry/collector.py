@@ -26,7 +26,7 @@ snapshot of a ``fast``-engine run is byte-identical to the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.commands import CommandType
 from repro.policies.base import DroppedSegment
@@ -36,15 +36,6 @@ from repro.telemetry.probe import Probe, TelemetrySpec
 #: Schema version of the serialized telemetry payload.
 TELEMETRY_SCHEMA = 1
 
-#: Histogram key classes by command type (everything else: "other").
-_CLASS_OF = {
-    CommandType.ENQUEUE: "enqueue",
-    CommandType.DEQUEUE: "dequeue",
-}
-
-#: Latency components recorded per class.
-_COMPONENTS = ("e2e", "fifo")
-
 
 class MmsTelemetry(Probe):
     """The standard telemetry probe (see module docstring)."""
@@ -52,10 +43,6 @@ class MmsTelemetry(Probe):
     def __init__(self, spec: TelemetrySpec = TelemetrySpec()) -> None:
         self.spec = spec
         self.histograms: Dict[str, Log2Histogram] = {}
-        # per-opcode shortcut to the four histograms a record feeds
-        # (built on first sight of each opcode; keeps the per-record
-        # path free of string formatting and key hashing)
-        self._routes: Dict[CommandType, tuple] = {}
         # counters channel
         self.commands = 0
         self.by_op: Dict[str, int] = {}
@@ -91,24 +78,29 @@ class MmsTelemetry(Probe):
         if queue_depth > self.queue_peaks.get(flow, -1):
             self.queue_peaks[flow] = queue_depth
 
-    def on_record(self, time_ps: int, op: CommandType, fifo_cycles: float,
-                  execution_cycles: float, data_cycles: float,
-                  end_to_end_cycles: float) -> None:
-        route = self._routes.get(op)
-        if route is None:
-            route = self._routes[op] = self._make_route(op)
-        cls_e2e, cls_fifo, all_e2e, all_fifo = route
-        cls_e2e.add(end_to_end_cycles)
-        all_e2e.add(end_to_end_cycles)
-        cls_fifo.add(fifo_cycles)
-        all_fifo.add(fifo_cycles)
+    def on_records(self, records: Sequence[tuple]) -> None:
+        """Fold the delivery-ordered records: one bulk add per histogram,
+        each fed its samples in delivery order."""
+        if not records:
+            return
+        self._fold("all", records)
+        # classes by opcode identity (no Enum hashing per record)
+        enq, deq = CommandType.ENQUEUE, CommandType.DEQUEUE
+        for label, members in (
+                ("enqueue", [rec for rec in records if rec[5] is enq]),
+                ("dequeue", [rec for rec in records if rec[5] is deq]),
+                ("other", [rec for rec in records
+                           if rec[5] is not enq and rec[5] is not deq])):
+            if members:
+                self._fold(label, members)
 
-    def _make_route(self, op: CommandType) -> tuple:
-        cls = _CLASS_OF.get(op, "other")
+    def _fold(self, label: str, records: Sequence[tuple]) -> None:
         hists = self.histograms
-        return tuple(
-            hists.setdefault(f"{label}.{component}", Log2Histogram())
-            for label in (cls, "all") for component in _COMPONENTS)
+        for component, column in (("e2e", 4), ("fifo", 1)):
+            key = f"{label}.{component}"
+            if key not in hists:
+                hists[key] = Log2Histogram()
+            hists[key].add_many([rec[column] for rec in records])
 
     # ------------------------------------------------- snapshot/restore
 
@@ -156,9 +148,6 @@ class MmsTelemetry(Probe):
                             for q, v in state["queue_peaks"].items()}
         self.histograms = {k: Log2Histogram.from_dict(h)
                            for k, h in state["histograms"].items()}
-        # the route cache holds direct references into the replaced
-        # histogram dict; drop it so _make_route reconnects lazily
-        self._routes = {}
 
     # ----------------------------------------------------------- snapshot
 

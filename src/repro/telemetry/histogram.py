@@ -8,11 +8,16 @@ bucket ``b`` covers ``[2^(b-1), 2^b)`` cycles (bucket 0 covers
 Percentiles are estimated deterministically by linear interpolation
 inside the covering bucket, so two runs that feed identical sample
 streams (the engine-identity contract) report byte-identical summaries.
+Samples must be finite: an infinite or NaN sample has no bucket, and
+would make the sum, the extremes and the JSON summary meaningless.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Dict, Mapping, Sequence, Tuple
 
 
@@ -53,6 +58,8 @@ class Log2Histogram:
     # ------------------------------------------------------------ feeding
 
     def add(self, value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"histogram sample must be finite, got {value!r}")
         b = bucket_of(value)
         self.buckets[b] = self.buckets.get(b, 0) + 1
         self.count += 1
@@ -61,6 +68,40 @@ class Log2Histogram:
             self.min_value = value
         if value > self.max_value:
             self.max_value = value
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """Add ``values`` in order, leaving the state one :meth:`add` per
+        value would.
+
+        The sum accumulates left to right, as the single adds do (not
+        ``sum()``, which compensates float sums on Python >= 3.12).  The
+        buckets and extremes are read from the distinct values: latency
+        samples are whole clock periods, so a few hundred distinct values
+        cover tens of thousands of samples.  ``Counter`` keeps the first
+        of equal values, as :meth:`add`'s strict compares do.  A
+        non-finite value raises before any state changes.
+        """
+        if not values:
+            return
+        total = reduce(add, values, self.total)
+        counts = Counter(values)
+        if not math.isfinite(total):
+            for value in counts:
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"histogram sample must be finite, got {value!r}")
+        buckets = self.buckets
+        for value, n in counts.items():
+            b = bucket_of(value)
+            buckets[b] = buckets.get(b, 0) + n
+        self.count += len(values)
+        self.total = total
+        low = min(counts)
+        if low < self.min_value:
+            self.min_value = low
+        high = max(counts)
+        if high > self.max_value:
+            self.max_value = high
 
     # ------------------------------------------------------------ queries
 

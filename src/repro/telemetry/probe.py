@@ -7,12 +7,13 @@ path emits at its command boundaries:
   the functional result and the post-dispatch occupancy.  The kernel
   path emits it from the probed ``DataQueueManager`` dispatch; the
   stream engine from the probed dispatch of its inlined loop.
-* ``on_record`` -- one call per latency-record delivery (the instant
-  the data transfer completes, or end of execution for pointer-only
-  commands), with the full cycle decomposition.  Both engines record
-  their deliveries during the run and the workload drivers
-  (:func:`repro.engines.harnesses.replay_records`) replay them in
-  delivery order after it; ``on_stages`` likewise.
+* ``on_records`` -- one call per run with the latency records in
+  delivery order (a record is delivered when the data transfer
+  completes, or at the end of execution for pointer-only commands),
+  each with the full cycle decomposition.  Both engines record their
+  deliveries during the run and the workload drivers
+  (:func:`repro.engines.harnesses.replay_records`) hand the list over
+  after it; ``on_stages`` is replayed one call per record.
 
 The channels carry no ordering contract *between* each other (every
 ``on_command`` call arrives before the records are replayed), so
@@ -84,12 +85,12 @@ class Probe:
         occupancy and ``total_segments`` the aggregate buffer
         occupancy."""
 
-    def on_record(self, time_ps: int, op: CommandType, fifo_cycles: float,
-                  execution_cycles: float, data_cycles: float,
-                  end_to_end_cycles: float) -> None:
-        """One latency-record delivery at ``time_ps`` (the Table 5
-        decomposition plus the true submit-to-completion latency), in
-        record-delivery order."""
+    def on_records(self, records: Sequence[tuple]) -> None:
+        """The run's latency records in delivery order, each a tuple
+        ``(time_ps, fifo_cycles, execution_cycles, data_cycles,
+        end_to_end_cycles, op)``: the delivery instant, the Table 5
+        decomposition plus the true submit-to-completion latency, and
+        the command type."""
 
     def on_stages(self, time_ps: int, seq: int, op: CommandType, flow: int,
                   submit_ps: int, start_ps: int, end_ps: int,
@@ -130,12 +131,9 @@ class ProbeChain(Probe):
             probe.on_command(time_ps, op, flow, result, queue_depth,
                              total_segments)
 
-    def on_record(self, time_ps: int, op: CommandType, fifo_cycles: float,
-                  execution_cycles: float, data_cycles: float,
-                  end_to_end_cycles: float) -> None:
+    def on_records(self, records: Sequence[tuple]) -> None:
         for probe in self.probes:
-            probe.on_record(time_ps, op, fifo_cycles, execution_cycles,
-                            data_cycles, end_to_end_cycles)
+            probe.on_records(records)
 
     def on_stages(self, time_ps: int, seq: int, op: CommandType, flow: int,
                   submit_ps: int, start_ps: int, end_ps: int,

@@ -84,8 +84,7 @@ def _finalize(run: StreamRun, caps, horizon=HORIZON) -> Capture:
     cap.traces = [t for c in caps for t in c.traces]
     cap.cmds = [c_ for c in caps for c_ in c.cmds]
     records = run.eng.latency_records(horizon, with_ops=True)
-    for t, f, e, d, ee, op in records:
-        run.probe.on_record(t, op, f, e, d, ee)
+    run.probe.on_records(records)
     cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
     cap.stages = run.eng.stage_records(horizon)
     cap.telemetry = json.dumps(run.probe.snapshot().to_dict())

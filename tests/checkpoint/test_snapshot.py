@@ -144,11 +144,13 @@ def test_telemetry_state_round_trip_continues_identically():
     from repro.core.commands import CommandType
 
     def drive(tel, lo, hi):
+        records = []
         for i in range(lo, hi):
             op = CommandType.ENQUEUE if i % 3 else CommandType.DEQUEUE
             tel.on_command(i * 100, op, i % 5, None, i % 4, i % 7)
-            tel.on_record(i * 100, op, 2.0, 10.5 + i % 9, 4.0,
-                          16.5 + i % 9)
+            records.append((i * 100, 2.0, 10.5 + i % 9, 4.0, 16.5 + i % 9,
+                            op))
+        tel.on_records(records)
 
     whole = MmsTelemetry(TelemetrySpec(sample_every=4))
     drive(whole, 0, 500)

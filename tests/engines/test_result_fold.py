@@ -68,8 +68,8 @@ class RecordingProbe:
     def __init__(self):
         self.records = []
 
-    def on_record(self, time_ps, op, fifo_c, exec_c, data_c, e2e_c):
-        self.records.append((time_ps, fifo_c, exec_c, data_c, e2e_c, op))
+    def on_records(self, records):
+        self.records.extend(records)
 
 
 def oracle_load(records, warmup_volleys, offered_gbps):

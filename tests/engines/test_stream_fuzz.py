@@ -119,8 +119,7 @@ def run_reference(config, scripts, drain_counters=None,
             drain_counters)), name="drain")
     sim.run(until_ps=HORIZON)
     records = mms.latency_records(HORIZON, with_ops=True)
-    for t, f, e, d, ee, op in records:
-        tel.on_record(t, op, f, e, d, ee)
+    tel.on_records(records)
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
     cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
     cap.stages = mms.stage_records(HORIZON)
@@ -147,8 +146,7 @@ def run_stream(config, scripts, drain_counters=None,
             drain_counters))
     eng.run(HORIZON)
     records = eng.latency_records(HORIZON, with_ops=True)
-    for t, f, e, d, ee, op in records:
-        tel.on_record(t, op, f, e, d, ee)
+    tel.on_records(records)
     cap.telemetry = json.dumps(tel.snapshot().to_dict())
     cap.records = [(t, f, e, d, ee) for t, f, e, d, ee, _op in records]
     cap.stages = eng.stage_records(HORIZON)

@@ -59,9 +59,9 @@ def test_command_channel_counters_and_occupancy():
 
 def test_record_channel_histograms_by_class():
     tel = MmsTelemetry()
-    tel.on_record(1000, ENQ, 2.0, 10.0, 5.0, 14.0)
-    tel.on_record(2000, DEQ, 3.0, 11.0, 6.0, 16.0)
-    tel.on_record(3000, MOVE, 0.0, 8.0, 0.0, 8.0)
+    tel.on_records([(1000, 2.0, 10.0, 5.0, 14.0, ENQ),
+                    (2000, 3.0, 11.0, 6.0, 16.0, DEQ),
+                    (3000, 0.0, 8.0, 0.0, 8.0, MOVE)])
     h = tel.snapshot().histograms
     assert set(h) == {"all.e2e", "all.fifo", "enqueue.e2e", "enqueue.fifo",
                       "dequeue.e2e", "dequeue.fifo", "other.e2e",
@@ -78,15 +78,14 @@ def test_channels_are_independent():
     (the stream engine replays records after all commands)."""
     a, b = MmsTelemetry(), MmsTelemetry()
     commands = [(100 * i, ENQ, i % 3, i, 1, i + 1) for i in range(10)]
-    records = [(100 * i + 50, ENQ, 1.0 * i, 10.0, 2.0, 12.0 + i)
+    records = [(100 * i + 50, 1.0 * i, 10.0, 2.0, 12.0 + i, ENQ)
                for i in range(10)]
     for cmd in commands:
         a.on_command(*cmd)
-    for rec in records:
-        a.on_record(*rec)
-    for cmd, rec in zip(commands, records):
+    a.on_records(records)
+    b.on_records(records)
+    for cmd in commands:
         b.on_command(*cmd)
-        b.on_record(*rec)
     assert a.snapshot().to_dict() == b.snapshot().to_dict()
 
 
@@ -94,11 +93,13 @@ def test_channels_are_independent():
 
 def _sample_snapshot():
     tel = MmsTelemetry(TelemetrySpec(sample_every=4))
+    records = []
     for i in range(50):
         op = ENQ if i % 2 == 0 else DEQ
         tel.on_command(1000 * i, op, i % 5, i, queue_depth=i % 7,
                        total_segments=i % 11)
-        tel.on_record(1000 * i + 500, op, 0.5 * i, 10.5, 3.25, 14.25 + i)
+        records.append((1000 * i + 500, 0.5 * i, 10.5, 3.25, 14.25 + i, op))
+    tel.on_records(records)
     return tel.snapshot()
 
 
