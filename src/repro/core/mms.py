@@ -250,9 +250,8 @@ class MmsLoadResult:
     #: execution end and data-transfer end); equals the additive total
     #: only when pointer/data work serializes.
     end_to_end_cycles: float = 0.0
-    #: Engine knob the run used ("fast" = command-stream machine, or the
-    #: DES kernel for configs it declines; "reference" = the DES kernel);
-    #: results are identical.
+    #: Engine knob the run used ("fast" = command-stream machine,
+    #: "reference" = the DES kernel); results are identical.
     engine: str = "fast"
 
     @property
@@ -304,9 +303,8 @@ def run_load(offered_gbps: float, num_volleys: int = 2500,
 
     ``engine`` selects the machine (see
     :func:`repro.engines.harnesses.make_machine`): ``"fast"`` (default)
-    runs the command-stream machine when it claims ``config`` and the
-    DES kernel otherwise, ``"reference"`` always the DES kernel; any
-    other name raises :class:`ValueError`.  Every engine runs the one
+    runs the command-stream machine, ``"reference"`` the DES kernel;
+    any other name raises :class:`ValueError`.  Every engine runs the one
     driver body (:func:`repro.engines.harnesses.drive_load`), so the
     results are equal; only wall-clock differs.
     """

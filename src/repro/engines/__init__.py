@@ -11,17 +11,13 @@ Each workload family has one driver (:mod:`repro.engines.harnesses`)
 that runs on either machine.  Selection is the existing uniform knob:
 ``engine="fast"`` on :func:`repro.core.mms.run_load`,
 :func:`repro.core.mms.run_saturation` and
-:func:`repro.policies.harness.run_overload` picks :class:`StreamMms`
-whenever :func:`stream_supports` claims the configuration (every port
-arrangement; only a DMC completion grid colliding with the MMS clock
-grid is declined), and the DES kernel otherwise.
-``engine="reference"`` always runs the DES kernel, the machine's
-oracle.
+:func:`repro.policies.harness.run_overload` runs :class:`StreamMms` on
+every configuration; ``engine="reference"`` runs the DES kernel, the
+machine's oracle.
 """
 
-from repro.engines.stream import StreamMms, stream_supports
+from repro.engines.stream import StreamMms
 
 __all__ = [
     "StreamMms",
-    "stream_supports",
 ]

@@ -3,18 +3,17 @@
 Table 5 (:func:`drive_load`), the saturation headline
 (:func:`drive_saturation`) and the overload family
 (:func:`drive_overload`) each have exactly one body here.
-:func:`make_machine` picks what it runs on -- the command-stream
-:class:`~repro.engines.stream.StreamMms` when ``engine == "fast"`` and
-:func:`~repro.engines.stream.stream_supports` claims the configuration,
-otherwise the kernel :class:`~repro.core.mms.MMS` on the DES
-:class:`~repro.sim.kernel.Simulator` -- and both machines expose
-the same driver surface: ``prefill``, ``add_feeder``, ``run``, ``now``,
-``latency_records`` and ``stage_records``.  A driver prefills, attaches
-the shared feeders (:mod:`repro.core.workloads`), runs to the horizon
-and assembles the result from the machine's latency records, so the
-two engines share feeding, record replay and result assembly, and the
-returned values are *equal*, not approximately equal (asserted by
-``tests/engines/``).
+:func:`make_machine` picks what it runs on by the engine name alone --
+the command-stream :class:`~repro.engines.stream.StreamMms` for
+``"fast"``, the kernel :class:`~repro.core.mms.MMS` on the DES
+:class:`~repro.sim.kernel.Simulator` for ``"reference"`` -- and both
+machines expose the same driver surface: ``prefill``, ``add_feeder``,
+``run``, ``now``, ``latency_records`` and ``stage_records``.  A driver
+prefills, attaches the shared feeders (:mod:`repro.core.workloads`),
+runs to the horizon and assembles the result from the machine's latency
+records, so the two engines share feeding, record replay and result
+assembly, and the returned values are *equal*, not approximately equal
+(asserted by ``tests/engines/``).
 
 Probes see ``on_command`` live at the pop instant on both machines;
 ``on_records`` and ``on_stages`` are fed from the records after the
@@ -48,7 +47,7 @@ from repro.core.workloads import (
     overload_feed_ops,
     saturation_feed_ops,
 )
-from repro.engines.stream import StreamMms, stream_supports
+from repro.engines.stream import StreamMms
 from repro.policies.harness import OverloadResult
 from repro.sim.clock import Clock, SEC
 
@@ -64,16 +63,14 @@ FOUR_PORTS = ((True, 0), (False, 0), (True, 1), (False, 1))
 
 
 def make_machine(config: MmsConfig, engine: str, probe=None) -> Machine:
-    """The machine a workload runs on: the command-stream machine when
-    ``engine == "fast"`` and it claims ``config``, else the kernel MMS
-    (``"reference"``, and the fallback for configs the machine
-    declines)."""
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r} "
-                         "(choose 'fast' or 'reference')")
-    if engine == "fast" and stream_supports(config) is None:
+    """The machine a workload runs on: the command-stream machine for
+    ``"fast"``, the kernel MMS for ``"reference"``."""
+    if engine == "fast":
         return StreamMms(config, probe=probe)
-    return MMS(config, probe=probe)
+    if engine == "reference":
+        return MMS(config, probe=probe)
+    raise ValueError(f"unknown engine {engine!r} "
+                     "(choose 'fast' or 'reference')")
 
 
 def replay_records(eng: Machine, probe, horizon: int) -> list:

@@ -30,12 +30,12 @@ operations, buffer-policy decisions) runs through the very same
 which is what makes trace identity a structural property rather than a
 re-implementation hazard.
 
-Every port arrangement is modelled: per-port FIFO depths, priorities
-and the feeder's pending-command backpressure slot.  The one workload
-the machine cannot replay exactly (a DMC completion grid that collides
-with the MMS clock grid) is declared by :func:`stream_supports`, and the
-workload drivers (:mod:`repro.engines.harnesses`) run it on the DES
-kernel.
+Every configuration is modelled: per-port FIFO depths, priorities and
+the feeder's pending-command backpressure slot, any MMS clock, and any
+DMC pipeline -- including a DMC completion grid that lands on the MMS
+clock grid, where a transfer completion and a command's finalize can
+fall on the same instant (see :meth:`StreamMms.latency_records` for why
+that tie needs no kernel).
 """
 
 from __future__ import annotations
@@ -97,26 +97,6 @@ C_SUBMIT, C_START, C_END, C_SLOT, C_REQ, C_EXEC = 6, 7, 8, 9, 10, 11
 R_SUBMIT, R_WRITE, R_BANK, R_COMPLETE = 0, 1, 2, 3
 
 
-def stream_supports(config: MmsConfig) -> Optional[str]:
-    """Why the machine cannot replay ``config`` (None = it can).
-
-    The machine requires the DMC completion grid to stay off the MMS
-    clock grid (true for every paper configuration), which is what makes
-    the latency-record ordering reproducible without a kernel.
-    """
-    period_ps = Clock(config.clock_mhz).period_ps
-    timing = DdrTiming()
-    cycle_ps = timing.access_cycle_ns * NS
-    if cycle_ps % period_ps != 0:
-        return "DDR access cycle not a multiple of the MMS clock period"
-    pipeline_ps = config.dmc_pipeline_ns * NS
-    for delay_ns in (timing.read_delay_ns, timing.write_delay_ns):
-        if (delay_ns * NS + pipeline_ps) % period_ps == 0:
-            return ("DMC completion grid collides with the MMS clock grid "
-                    "(record ordering would need the kernel)")
-    return None
-
-
 class StreamMms:
     """A batched MMS instance: same functional state, no DES kernel.
 
@@ -129,10 +109,6 @@ class StreamMms:
     def __init__(self, config: MmsConfig = MmsConfig(),
                  policy: Optional[BufferPolicy] = None,
                  probe=None) -> None:
-        reason = stream_supports(config)
-        if reason is not None:
-            raise ValueError(f"stream engine cannot replay this config: "
-                             f"{reason}")
         self.config = config
         self.clock = Clock(config.clock_mhz)
         self.pqm = flow_queues(config, lambda: self.now, policy)
@@ -559,12 +535,15 @@ class StreamMms:
         additionally carries the :class:`CommandType` as a sixth field
         (the telemetry replay keys histograms by it).  Records are
         delivered when the data transfer completes (data commands) or
-        at end of execution (pointer-only and policy-dropped commands);
-        the kernel's within-timestamp FIFO contract puts a completion
-        resume (pushed at issue time) ahead of a finalize spawned in
-        that timestamp, which is the ``tie`` sort key below;
-        ``stream_supports`` rules out configurations where the two
-        grids could otherwise collide.
+        at end of execution (pointer-only and policy-dropped commands).
+
+        Two records can share an instant on any DMC pipeline and clock,
+        and the ``tie`` sort key orders them as the kernel does: a DMC
+        completion at ``T`` resumes its finalize one heap step after
+        the ``_complete`` wake, which was pushed at issue time, while a
+        finalize spawned at ``T`` by a command ending at ``T`` needs two
+        steps before it appends.  So at any equal instant the
+        completion-delivered records (``tie`` 0) come first.
         """
         period = self.clock.period_ps
         entries = []

@@ -21,12 +21,12 @@ timing, DMC transfers).  :func:`run_overload` validates its arguments
 and delegates to the one overload driver
 (:func:`repro.engines.harnesses.drive_overload`), whose ``engine`` knob
 works exactly like Table 5's: ``"fast"`` runs the DES-free
-command-stream machine (kernel fallback for configurations it
-declines), ``"reference"`` the heapq kernel.  The machines are
-trace-identical, and the policy decisions are a pure function of
-(seed, arrival order), so the drop/accept counters are byte-identical
-across engines -- asserted by the equivalence tests, the differential
-fuzz suite and the CI overload smoke.
+command-stream machine on every configuration, ``"reference"`` the
+heapq kernel.  The machines are trace-identical, and the policy
+decisions are a pure function of (seed, arrival order), so the
+drop/accept counters are byte-identical across engines -- asserted by
+the equivalence tests, the differential fuzz suite and the
+scenario-identity test.
 """
 
 from __future__ import annotations

@@ -55,6 +55,25 @@ def test_stream_run_matches_the_reference_harness():
     assert dataclasses.replace(result, engine="reference") == base
 
 
+def test_colliding_completion_grid_splits_and_resumes():
+    """Every config a plain overload run accepts checkpoints too: a
+    120 ns DMC pipeline puts write completions on the MMS clock grid,
+    and a split, JSON-round-tripped and resumed LQD run still equals
+    the unbroken reference."""
+    config = MmsConfig(num_flows=64, num_segments=96, num_descriptors=96,
+                       dmc_pipeline_ns=120)
+    base = run_overload(PolicySpec("lqd"), "burst", num_arrivals=240,
+                        engine="reference", config=config)
+    cfg = dataclasses.replace(config, policy=PolicySpec("lqd"),
+                              policy_seed=2005)
+    run = StreamRun.fresh("overload", overload_params(
+        cfg, "burst", num_arrivals=240, active_flows=32))
+    run.run(run.horizon // 3)
+    doc = run.checkpoint().to_json()
+    resumed = StreamRun.resume(Checkpoint.from_json(doc)).finish()
+    assert dataclasses.replace(resumed, engine="reference") == base
+
+
 def test_documents_with_a_legacy_engine_label_still_resume():
     """Overload documents written when the kernel could checkpoint too
     carry an ``engine_label`` param; it loads and selects nothing."""

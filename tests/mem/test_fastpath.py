@@ -28,7 +28,7 @@ from repro.mem.ddr import DdrModel, MemOp
 from repro.mem.fastpath import _PAPER_PORT_IS_WRITE, bank_draws
 from repro.mem.patterns import paper_port_patterns
 from repro.mem.sched import PortSpec, run_reordering, run_serializing
-from repro.scenarios import Runner, all_scenarios
+from repro.scenarios import all_scenarios
 
 #: 2, 3 and 12 reject draws at non-power-of-two rates.
 BANKS = (1, 2, 3, 4, 8, 12, 16)
@@ -100,15 +100,6 @@ def test_bank_scenarios_include_table1_and_its_ablations():
     assert set(BANK_SCENARIOS) >= {"table1", "sweep-ddr-loss-banks",
                                    "ablation-history-depth",
                                    "ablation-rw-grouping"}
-
-
-@pytest.mark.parametrize("name", BANK_SCENARIOS)
-def test_bank_scenario_engines_agree(name):
-    """Each bank-engine scenario returns identical values on both
-    engines."""
-    fast = Runner().run(name, fast=True, engine="fast")
-    ref = Runner().run(name, fast=True, engine="reference")
-    assert fast.metrics == ref.metrics
 
 
 @pytest.mark.parametrize("optimized", (False, True))

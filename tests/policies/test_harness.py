@@ -82,17 +82,6 @@ def test_fast_and_reference_engines_report_identical_counters(policy, shape):
     assert fast.counters() == ref.counters()
 
 
-def test_runner_overload_scenario_engine_identity():
-    """The ISSUE acceptance path: overload-lqd-burst through the Runner
-    on both engines, byte-identical metrics (wall-clock excluded)."""
-    runner = Runner()
-    fast = runner.run("overload-lqd-burst", fast=True, engine="fast")
-    ref = runner.run("overload-lqd-burst", fast=True, engine="reference")
-    assert fast.metrics == ref.metrics
-    assert fast.engine == "fast" and ref.engine == "reference"
-    assert fast.blocks == ref.blocks
-
-
 def test_every_overload_scenario_runs_via_runner():
     runner = Runner()
     for stem in ("taildrop", "red", "dt", "lqd"):

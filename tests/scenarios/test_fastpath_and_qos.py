@@ -1,10 +1,7 @@
 """Capability flags (``ScenarioSpec.fastpath``) and the qos family."""
 
-import dataclasses
-
 import pytest
 
-from repro.engines import stream_supports
 from repro.scenarios import Runner, all_scenarios
 from repro.scenarios.spec import FASTPATHS, ScenarioSpec
 
@@ -19,19 +16,6 @@ def test_fastpath_none_iff_no_engine_knob():
         spec = scenario.spec
         assert (spec.fastpath == "none") == ("engine" not in spec.supports), \
             name
-
-
-def test_stream_flagged_scenarios_are_claimed_by_the_machine():
-    """A 'stream' flag is a promise: the scenario's MMS build must be
-    accepted by stream_supports (no silent kernel fallback)."""
-    for name, scenario in all_scenarios().items():
-        spec = scenario.spec
-        if spec.fastpath == "stream" or (spec.fastpath == "mixed"
-                                         and spec.mms is not None):
-            cfg = spec.mms
-            if spec.policy is not None:
-                cfg = dataclasses.replace(cfg, policy=spec.policy)
-            assert stream_supports(cfg) is None, name
 
 
 def test_ixp_flagged_scenarios_build_no_simulator(monkeypatch):

@@ -14,14 +14,6 @@ from repro.scenarios import (
 
 # ------------------------------------------------------------- knobs
 
-def test_engine_override_produces_identical_metrics():
-    runner = Runner()
-    fast = runner.run("table1", fast=True, engine="fast")
-    ref = runner.run("table1", fast=True, engine="reference")
-    assert fast.metrics == ref.metrics
-    assert fast.engine == "fast" and ref.engine == "reference"
-
-
 def test_seed_override_changes_simulated_values():
     runner = Runner()
     a = runner.run("ablation-history-depth", fast=True, seed=1)
